@@ -306,9 +306,7 @@ def build_tree_decomposition(
             for idx, comp in enumerate(components):
                 # G_{x•i}: the component plus the adjacent bag vertices.
                 adjacent_bag = {
-                    b
-                    for b in bag
-                    if any(nb in comp for nb in graph.neighbors(b))
+                    b for b in bag if not graph.neighbors(b).isdisjoint(comp)
                 }
                 child_vertices = set(comp) | adjacent_bag
                 next_level.append((label + (idx,), child_vertices, bag & child_vertices))

@@ -68,6 +68,9 @@ class WeightedDiGraph:
         self._out: Dict[NodeId, List[int]] = {}
         self._in: Dict[NodeId, List[int]] = {}
         self._next_eid = 0
+        # True while ``_edges`` insertion order is ascending eid order, which
+        # lets :meth:`subgraph` rebuild the order from the kept ids alone.
+        self._eid_ordered = True
         self._version = 0
         self._ug_cache: Optional[Graph] = None
         self._ug_version = -1
@@ -108,6 +111,8 @@ class WeightedDiGraph:
             eid = self._next_eid
         if eid in self._edges:
             raise GraphError(f"duplicate edge id {eid}")
+        if eid < self._next_eid:
+            self._eid_ordered = False
         self._next_eid = max(self._next_eid, eid) + 1
         edge = Edge(eid, tail, head, float(weight), label)
         self._edges[eid] = edge
@@ -150,6 +155,7 @@ class WeightedDiGraph:
         g._out = {u: list(eids) for u, eids in self._out.items()}
         g._in = {u: list(eids) for u, eids in self._in.items()}
         g._next_eid = self._next_eid
+        g._eid_ordered = self._eid_ordered
         return g
 
     # ------------------------------------------------------------------ #
@@ -232,23 +238,43 @@ class WeightedDiGraph:
         return g
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "WeightedDiGraph":
-        """Return the subgraph induced by ``nodes`` (edge ids preserved)."""
+        """Return the subgraph induced by ``nodes`` (edge ids preserved).
+
+        The result equals a filter of the parent's edges in insertion order:
+        :meth:`edges` keeps the parent's edge order, every ``out_edges`` and
+        ``in_edges`` list keeps the parent's per-node order, and the next
+        free edge id is the parent's.  Immutable :class:`Edge` objects are
+        shared with the parent.
+
+        Cost: O(volume of the kept nodes) plus sorting the kept edge ids, as
+        only the kept nodes' out-lists are read.  If an edge was ever added
+        with an explicit ``eid`` below an existing one, insertion order is no
+        longer eid order, and the kept edges are found by an O(m) scan of the
+        parent's edges in insertion order instead.
+        """
         keep = set(nodes)
         missing = keep - self._nodes
         if missing:
             raise GraphError(f"nodes not in graph: {sorted(map(repr, missing))[:5]}")
-        # Direct structural construction: immutable Edge objects are shared,
-        # and edges keep the parent's (deterministic) insertion order.
+        edges = self._edges
+        if self._eid_ordered:
+            # Insertion order is eid order, so sorting the kept ids restores it.
+            kept = sorted(
+                eid for u in keep for eid in self._out[u] if edges[eid].head in keep
+            )
+        else:
+            kept = [eid for eid, e in edges.items() if e.tail in keep and e.head in keep]
         g = WeightedDiGraph(keep)
-        edges = g._edges
+        sub_edges = g._edges
         out = g._out
         inn = g._in
-        for e in self._edges.values():
-            if e.tail in keep and e.head in keep:
-                edges[e.eid] = e
-                out[e.tail].append(e.eid)
-                inn[e.head].append(e.eid)
+        for eid in kept:
+            e = edges[eid]
+            sub_edges[eid] = e
+            out[e.tail].append(eid)
+            inn[e.head].append(eid)
         g._next_eid = self._next_eid
+        g._eid_ordered = self._eid_ordered
         return g
 
     def underlying_graph(self) -> Graph:

@@ -70,10 +70,9 @@ class DistanceLabelingResult:
 
 
 def _local_apsp_labels(
-    instance: WeightedDiGraph, vertices: FrozenSet[NodeId]
+    sub: WeightedDiGraph, vertices: FrozenSet[NodeId]
 ) -> Dict[NodeId, DistanceLabel]:
-    """Leaf case: all-pairs shortest paths inside the induced subgraph."""
-    sub = instance.subgraph(vertices)
+    """Leaf case: all-pairs shortest paths inside ``sub``, induced by ``vertices``."""
     dist_from: Dict[NodeId, Dict[NodeId, float]] = {
         u: dijkstra(sub, u) for u in vertices
     }
@@ -252,8 +251,8 @@ def build_distance_labeling(
     for label in order:
         node = td.nodes[label]
         if node.is_leaf or not node.children:
-            labels_by_node[label] = _local_apsp_labels(instance, node.graph_vertices)
             sub = instance.subgraph(node.graph_vertices)
+            labels_by_node[label] = _local_apsp_labels(sub, node.graph_vertices)
             volume = sub.num_edges() + sub.num_nodes()
             depth = len(label)
             if volume > level_volume.get(depth, 0):

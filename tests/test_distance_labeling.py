@@ -91,6 +91,28 @@ class TestLabelSizeAndRounds:
         _assert_exact(weighted_instance, result.labeling, sources=weighted_instance.nodes()[:8])
 
 
+class TestLeafSubgraphs:
+    def test_one_subgraph_per_leaf_bag(self, config, monkeypatch):
+        calls = []
+        subgraph = WeightedDiGraph.subgraph
+
+        def counting(self, nodes):
+            calls.append(nodes)
+            return subgraph(self, nodes)
+
+        monkeypatch.setattr(WeightedDiGraph, "subgraph", counting)
+        g = generators.partial_k_tree(120, 3, seed=11)
+        inst = generators.to_directed_instance(g, weight_range=(1, 9), orientation="asymmetric", seed=12)
+        result = build_distance_labeling(inst, config=config)
+        leaves = [
+            node for node in result.decomposition.nodes.values()
+            if node.is_leaf or not node.children
+        ]
+        assert len(leaves) > 1
+        assert len(calls) == len(leaves)
+        assert sorted(map(sorted, calls)) == sorted(sorted(n.graph_vertices) for n in leaves)
+
+
 class TestErrors:
     def test_empty_instance_rejected(self, config):
         with pytest.raises(GraphError):
