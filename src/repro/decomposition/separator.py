@@ -34,7 +34,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.core.config import SeparatorParams
 from repro.core.rounds import CostModel, RoundLedger
 from repro.decomposition.split import SplitTree, split_graph, split_tree_roots
-from repro.decomposition.vertex_cut import minimum_vertex_cut
+from repro.decomposition.vertex_cut import VertexCutNetwork
 from repro.errors import DecompositionError, GraphError, SeparatorFailure
 from repro.graphs.graph import Graph
 
@@ -263,9 +263,10 @@ class BalancedSeparator:
             heaviest = max(comps, key=lambda c: (_mu(focus, c), len(c)))
             current = remaining.subgraph(heaviest)
 
-        # Step 4: sampled pairwise vertex cuts.
+        # Step 4: sampled pairwise vertex cuts, all on one reusable network.
         cut_union: Set[NodeId] = set()
         num_pairs_total = 0
+        network: Optional[VertexCutNetwork] = None
         for trees in all_tree_sets:
             if len(trees) < 2:
                 continue
@@ -279,7 +280,9 @@ class BalancedSeparator:
                 if not a or not b:
                     continue
                 num_pairs_total += 1
-                cut = minimum_vertex_cut(graph, a, b, limit=t)
+                if network is None:
+                    network = VertexCutNetwork(graph)
+                cut = network.minimum_cut(a, b, limit=t)
                 if cut is not None:
                     cut_union |= cut
         if cm:

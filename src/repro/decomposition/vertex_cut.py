@@ -12,6 +12,16 @@ connectivity: every cuttable vertex ``v`` becomes an arc ``v_in → v_out`` of
 capacity 1, original edges get infinite capacity, and a BFS-augmenting
 (Edmonds–Karp) max-flow bounded by ``limit + 1`` augmentations decides whether
 a cut of size ≤ ``limit`` exists and extracts it from the residual graph.
+
+:class:`VertexCutNetwork` holds that split network in flat arrays, built once
+per graph in O(n + m) from the cached CSR view (:meth:`Graph.to_indexed`).
+Each U₁-U₂ query then costs an O(n + m) capacity reset plus at most
+``limit + 1`` BFS augmentations of O(n + m) each, so the many cuts ``Sep``
+asks of one graph share one network.  The cut is the set of vertices whose
+in-node but not out-node is reachable in the final residual graph; that set
+is the same after every maximum flow (the source-minimal minimum cut), so it
+does not depend on which augmenting paths the BFS happens to find.
+
 In the distributed algorithm this is the MVC(t) primitive of Lemma 8, costing
 Õ(t) part-wise aggregations; the cost accounting lives in
 :mod:`repro.shortcuts.operations`.
@@ -19,8 +29,7 @@ In the distributed algorithm this is the MVC(t) primitive of Lemma 8, costing
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Hashable, Iterable, List, Optional, Set
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
@@ -32,59 +41,141 @@ NodeId = Hashable
 _INF_CAP = 1 << 30
 
 
-class _FlowNetwork:
-    """A tiny adjacency-list max-flow network with integer capacities."""
+class VertexCutNetwork:
+    """The node-split flow network of one graph, reusable across terminal pairs.
 
-    def __init__(self) -> None:
-        self.cap: Dict[Tuple[int, int], int] = {}
-        self.adj: Dict[int, List[int]] = {}
+    Node index ``i`` of the CSR view becomes the in-node ``2i`` and the
+    out-node ``2i + 1``.  Arcs come in pairs ``e`` / ``e ^ 1`` (an arc and its
+    residual reverse) stored in the flat ``head``/capacity lists: arc ``2i``
+    is the vertex arc ``in → out`` of node ``i`` (capacity 1) and arc
+    ``2i + 1`` its reverse, and every CSR arc ``i → j`` adds the edge arc
+    ``out_i → in_j`` (capacity ∞) and its reverse.  A query sends flow from
+    U₁'s in-nodes to U₂'s in-nodes, so no extra source or sink node is needed.
+    The network is a snapshot of the graph at construction.
+    """
 
-    def add_arc(self, u: int, v: int, capacity: int) -> None:
-        if (u, v) not in self.cap:
-            self.adj.setdefault(u, []).append(v)
-            self.adj.setdefault(v, []).append(u)
-            self.cap[(u, v)] = 0
-            self.cap.setdefault((v, u), 0)
-        self.cap[(u, v)] += capacity
+    __slots__ = ("_node_ids", "_index_of", "_indptr", "_indices", "_head", "_arcs", "_base_cap")
 
-    def bfs_augment(self, source: int, sink: int) -> int:
-        """Find one augmenting path (BFS) and push flow along it; return the amount."""
-        parent: Dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in self.adj.get(u, ()):
-                if v not in parent and self.cap.get((u, v), 0) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            return 0
-        # Bottleneck along the path.
+    def __init__(self, graph: Graph) -> None:
+        csr = graph.to_indexed()
+        n = csr.num_nodes
+        indptr, indices = csr.indptr, csr.indices
+        num_vertex_arcs = 2 * n
+        head: List[int] = []
+        arcs: List[List[int]] = []
+        for i in range(n):
+            head += (2 * i + 1, 2 * i)
+            arcs += ([2 * i], [2 * i + 1])
+        for i in range(n):
+            out_arcs = arcs[2 * i + 1]
+            for p in range(indptr[i], indptr[i + 1]):
+                j = indices[p]
+                e = num_vertex_arcs + 2 * p
+                head += (2 * j, 2 * i + 1)
+                out_arcs.append(e)
+                arcs[2 * j].append(e + 1)
+        self._node_ids = csr.node_ids
+        self._index_of = csr.index_of
+        self._indptr = indptr
+        self._indices = indices
+        self._head = head
+        self._arcs = arcs
+        self._base_cap = [1, 0] * n + [_INF_CAP, 0] * len(indices)
+
+    def minimum_cut(
+        self,
+        side_a: Iterable[NodeId],
+        side_b: Iterable[NodeId],
+        limit: Optional[int] = None,
+    ) -> Optional[Set[NodeId]]:
+        """:func:`minimum_vertex_cut` of the network's graph (same contract)."""
+        a = set(side_a)
+        b = set(side_b)
+        if not a or not b:
+            raise GraphError("both terminal sets must be non-empty")
+        index_of = self._index_of
+        for u in a | b:
+            if u not in index_of:
+                raise GraphError(f"terminal {u!r} not in graph")
+        if a & b:
+            return None
+        num_nodes = len(self._node_ids)
+        is_sink = bytearray(2 * num_nodes)
+        for v in b:
+            is_sink[2 * index_of[v]] = 1
+        sources = [2 * index_of[u] for u in a]
+        indptr, indices = self._indptr, self._indices
+        for s in sources:
+            i = s >> 1
+            for p in range(indptr[i], indptr[i + 1]):
+                if is_sink[2 * indices[p]]:
+                    return None
+
+        if limit is None:
+            limit = num_nodes
+
+        # Per-pair reset: fresh unit vertex arcs, terminals made uncuttable.
+        cap = self._base_cap[:]
+        for s in sources:
+            cap[s] = _INF_CAP
+        for v in b:
+            cap[2 * index_of[v]] = _INF_CAP
+
+        flow = 0
+        while flow <= limit:
+            pushed, parent, reached = self._augment(cap, sources, is_sink)
+            if pushed == 0:
+                break
+            flow += pushed
+        if flow > limit:
+            return None
+
+        # The last, failed BFS visited exactly the residual-reachable nodes.
+        # Terminals never qualify: U₁'s out-nodes hang off ∞ arcs and U₂'s
+        # in-nodes are unreachable once the flow is maximum.
+        cut = [v >> 1 for v in reached if not v & 1 and parent[v + 1] == -1]
+        # Insert in str order of the ids (ties in graph order), so the
+        # returned set iterates the same way however the flow was found.
+        node_ids = self._node_ids
+        return {node_ids[i] for i in sorted(sorted(cut), key=lambda i: str(node_ids[i]))}
+
+    def _augment(self, cap: List[int], sources: List[int], is_sink: bytearray):
+        """One multi-source BFS from ``sources`` that stops at the first sink.
+
+        If a sink is reached, the bottleneck capacity is pushed along the BFS
+        path.  Returns ``(pushed, parent, reached)``: the amount pushed (0 if
+        no sink is reachable), the parent arc of every node (-1 unvisited, -2
+        source) and the visited nodes in BFS order.
+        """
+        head, arcs = self._head, self._arcs
+        parent = [-1] * len(arcs)
+        for s in sources:
+            parent[s] = -2
+        reached = list(sources)
+        for u in reached:  # the loop also visits the nodes appended below
+            for e in arcs[u]:
+                if cap[e]:
+                    v = head[e]
+                    if parent[v] == -1:
+                        parent[v] = e
+                        if is_sink[v]:
+                            return self._push(cap, parent, v), parent, reached
+                        reached.append(v)
+        return 0, parent, reached
+
+    def _push(self, cap: List[int], parent: List[int], sink: int) -> int:
+        head = self._head
         bottleneck = _INF_CAP
-        v = sink
-        while v != source:
-            u = parent[v]
-            bottleneck = min(bottleneck, self.cap[(u, v)])
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            self.cap[(u, v)] -= bottleneck
-            self.cap[(v, u)] += bottleneck
-            v = u
+        e = parent[sink]
+        while e >= 0:
+            bottleneck = min(bottleneck, cap[e])
+            e = parent[head[e ^ 1]]
+        e = parent[sink]
+        while e >= 0:
+            cap[e] -= bottleneck
+            cap[e ^ 1] += bottleneck
+            e = parent[head[e ^ 1]]
         return bottleneck
-
-    def reachable_from(self, source: int) -> Set[int]:
-        """Vertices reachable from ``source`` in the residual network."""
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in self.adj.get(u, ()):
-                if v not in seen and self.cap.get((u, v), 0) > 0:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
 
 def minimum_vertex_cut(
@@ -100,63 +191,10 @@ def minimum_vertex_cut(
     mirroring the "output −1" convention of the MVC task in Lemma 8.
     With ``limit=None`` the true minimum cut is returned whenever it is finite.
 
-    The cut never contains vertices of U₁ or U₂.
+    The cut never contains vertices of U₁ or U₂.  Callers with many pairs on
+    one graph should build one :class:`VertexCutNetwork` and query it.
     """
-    a = set(side_a)
-    b = set(side_b)
-    if not a or not b:
-        raise GraphError("both terminal sets must be non-empty")
-    for u in a | b:
-        if not graph.has_node(u):
-            raise GraphError(f"terminal {u!r} not in graph")
-    if a & b:
-        return None
-    for u in a:
-        for v in graph.neighbors(u):
-            if v in b:
-                return None
-
-    if limit is None:
-        limit = graph.num_nodes()
-
-    # Node splitting: index 2*i is v_in, 2*i+1 is v_out.
-    nodes = sorted(graph.nodes(), key=str)
-    index = {u: i for i, u in enumerate(nodes)}
-    net = _FlowNetwork()
-    SOURCE = 2 * len(nodes)
-    SINK = SOURCE + 1
-
-    for u in nodes:
-        i = index[u]
-        cap = _INF_CAP if (u in a or u in b) else 1
-        net.add_arc(2 * i, 2 * i + 1, cap)
-    for u, v in graph.edges():
-        iu, iv = index[u], index[v]
-        net.add_arc(2 * iu + 1, 2 * iv, _INF_CAP)
-        net.add_arc(2 * iv + 1, 2 * iu, _INF_CAP)
-    for u in a:
-        net.add_arc(SOURCE, 2 * index[u], _INF_CAP)
-    for v in b:
-        net.add_arc(2 * index[v] + 1, SINK, _INF_CAP)
-
-    flow = 0
-    while flow <= limit:
-        pushed = net.bfs_augment(SOURCE, SINK)
-        if pushed == 0:
-            break
-        flow += pushed
-    if flow > limit:
-        return None
-
-    reachable = net.reachable_from(SOURCE)
-    cut: Set[NodeId] = set()
-    for u in nodes:
-        i = index[u]
-        if u in a or u in b:
-            continue
-        if 2 * i in reachable and 2 * i + 1 not in reachable:
-            cut.add(u)
-    return cut
+    return VertexCutNetwork(graph).minimum_cut(side_a, side_b, limit)
 
 
 def is_vertex_cut(graph: Graph, side_a: Iterable[NodeId], side_b: Iterable[NodeId], cut: Iterable[NodeId]) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.rounds import CostModel, RoundLedger
-from repro.decomposition.vertex_cut import minimum_vertex_cut
+from repro.decomposition.vertex_cut import VertexCutNetwork
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 from repro.graphs.properties import tree_subtree_sizes
@@ -159,17 +159,25 @@ class SubgraphOperations:
         Each request is ``(part index, U1, U2)``; the cut is computed inside
         the part's induced subgraph.  Cuts larger than ``limit`` (or infinite
         by definition) yield ``None``, mirroring the "-1" output of Lemma 8.
-        Cost follows Corollary 2 (Õ(tτD + htτ)).
+        Cost follows Corollary 2 (Õ(tτD + htτ)).  Each part is induced once
+        and gets one flow network, shared by all of its requests.
         """
-        results: List[Optional[Set[NodeId]]] = []
-        for part_idx, side_a, side_b in requests:
+        results: List[Optional[Set[NodeId]]] = [None] * len(requests)
+        by_part: Dict[int, List[int]] = {}
+        for pos, (part_idx, _, _) in enumerate(requests):
+            by_part.setdefault(part_idx, []).append(pos)
+        for part_idx, positions in by_part.items():
             sub = self.collection.subgraph(part_idx)
-            a = set(side_a) & set(sub.nodes())
-            b = set(side_b) & set(sub.nodes())
-            if not a or not b:
-                results.append(None)
-                continue
-            results.append(minimum_vertex_cut(sub, a, b, limit=limit))
+            network: Optional[VertexCutNetwork] = None
+            for pos in positions:
+                _, side_a, side_b = requests[pos]
+                a = {u for u in side_a if sub.has_node(u)}
+                b = {v for v in side_b if sub.has_node(v)}
+                if not a or not b:
+                    continue
+                if network is None:
+                    network = VertexCutNetwork(sub)
+                results[pos] = network.minimum_cut(a, b, limit=limit)
         if self.cost_model is not None:
             h = max(1, len(requests))
             self._charge(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.rounds import CostModel, RoundLedger
+from repro.decomposition.vertex_cut import minimum_vertex_cut
 from repro.errors import GraphError
 from repro.graphs import generators
 from repro.shortcuts.operations import SubgraphOperations
@@ -148,3 +149,30 @@ class TestSubgraphOperations:
         # Requests with vertices outside the part yield None.
         cuts2 = ops.minimum_vertex_cuts([(1, left_col, right_col)], limit=4)
         assert cuts2[0] is None
+
+    def test_minimum_vertex_cuts_induce_each_part_once(self, grid_collection, monkeypatch):
+        _, coll = grid_collection
+        cm = CostModel(n=36, diameter=11)
+        ops = SubgraphOperations(coll, width=4, cost_model=cm)
+        requests = [
+            (1, {(0, 5)}, {(3, 8)}),
+            (0, {(r, 0) for r in range(4)}, {(r, 3) for r in range(4)}),
+            (1, {(0, 5), (0, 0)}, {(0, 8)}),
+            (0, {(0, 0)}, {(0, 8)}),  # U2 outside the part
+            (0, {(0, 0)}, {(3, 3)}),
+            (1, {(1, 6)}, {(1, 7)}),  # adjacent: infinite cut
+        ]
+        expected = [
+            minimum_vertex_cut(coll.subgraph(idx), a & set(coll.parts[idx]), b & set(coll.parts[idx]), limit=3)
+            if a & set(coll.parts[idx]) and b & set(coll.parts[idx])
+            else None
+            for idx, a, b in requests
+        ]
+        induced = []
+        subgraph = coll.subgraph
+        monkeypatch.setattr(coll, "subgraph", lambda idx: induced.append(idx) or subgraph(idx))
+        cuts = ops.minimum_vertex_cuts(requests, limit=3)
+        assert cuts == expected
+        assert [c is None for c in cuts] == [False, True, False, True, False, True]
+        assert sorted(induced) == [0, 1]
+        assert ops.ledger["mvc"] == cm.min_vertex_cut_multi(4, len(requests), 3)
