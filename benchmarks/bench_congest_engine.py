@@ -780,27 +780,3 @@ def test_engine_speedup_bfs_broadcast_grid(benchmark, report_sink, bench_scale, 
     )
     if bench_scale == "full":
         assert speedup >= 1.2, f"fast engine only {speedup:.2f}x faster than legacy"
-
-
-def matrix_cells(scale: str = "smoke", seed: int = 12345):
-    """Thin matrix-cell adapter: this module's shoot-out as runner cells.
-
-    The same engine-tier comparisons — Bellman-Ford on the deep path and
-    the dense clique across every tier, BFS+broadcast on the grid — as
-    resumable ``repro-bench`` cells (``repro-bench run -p bellman_ford
-    -e fast -e vectorized ...`` reproduces any record here one cell at a
-    time).
-    """
-    from repro.experiments.matrix import CellSpec
-
-    cells = [
-        CellSpec("bellman_ford", engine, family, scale, seed)
-        for family in ("path", "dense")
-        for engine in ("legacy", "fast", "vectorized", "sharded", "async")
-    ]
-    cells += [
-        CellSpec(protocol, engine, "grid", scale, seed)
-        for protocol in ("bfs_tree", "broadcast")
-        for engine in ("legacy", "fast")
-    ]
-    return cells

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
+from repro.congest.faults import prepare_fault_run
 from repro.congest.kernels import (
     PackedInbox,
     PackedSends,
@@ -304,40 +305,19 @@ def distributed_bellman_ford(
     source: NodeId,
     max_rounds: Optional[int] = None,
     words_per_message: int = 8,
-    engine: Optional[str] = None,
-    trace=None,
-    num_shards: Optional[int] = None,
-    shard_pool=None,
-    delay_model=None,
-    transport=None,
-    fault_schedule=None,
-    scheduler: Optional[str] = None,
-    accel: Optional[str] = None,
+    **run_options: Any,
 ) -> BellmanFordResult:
     """Run distributed Bellman-Ford SSSP from ``source`` on ``instance``.
 
     Returns exact shortest-path distances (``inf`` for unreachable nodes) plus
-    the measured number of communication rounds.  ``engine``/``trace`` are
-    passed through to :meth:`CongestNetwork.run` (the fast indexed engine is
-    the default; ``engine="vectorized"`` runs the whole-round
-    :class:`BellmanFordKernel`, ``engine="sharded"`` distributes it over
-    ``num_shards`` worker processes — reused across calls when a
-    :class:`~repro.congest.engine.ShardPool` is passed via ``shard_pool``,
-    with the boundary exchange carried by ``transport`` (``"shm"`` arena or
-    ``"socket"`` TCP) — and ``engine="async"`` executes the scalar protocol
-    on the event-driven scheduler under ``delay_model``, with
-    schedule-invariant distances and parents — all with identical results).
-    ``scheduler`` selects the async tier's event queue (``"bucketed"``
-    calendar queue, the default, or the ``"heap"`` reference — identical
-    runs) and ``accel`` the compiled-kernel backend of the numpy tiers
-    (``"auto"``/``"python"``/``"numba"``, see :mod:`repro._accel`).
+    the measured number of communication rounds.  Attaches
+    :class:`BellmanFordKernel` for the kernel tiers; distances and parents
+    are identical on every tier and schedule-invariant on the async tier.
+    Other keywords go to :meth:`CongestNetwork.run`.
 
-    ``fault_schedule`` (a :class:`~repro.congest.faults.FaultSchedule` or
-    seeded :class:`~repro.congest.faults.FaultModel`) injects node/edge
-    crash+recover transitions; it implies ``engine="async"`` when no engine
-    is requested, requires the source to eventually recover (a source crashed
-    forever can never re-seed distance 0 — rejected with
-    :class:`~repro.errors.FaultInjectionError`), and raises the default round
+    A ``fault_schedule`` requires the source to eventually recover (a source
+    crashed forever can never re-seed distance 0 — rejected with
+    :class:`~repro.errors.FaultInjectionError`) and raises the default round
     limit to cover the fault horizon plus reconvergence.
     """
     if not instance.has_node(source):
@@ -350,30 +330,16 @@ def distributed_bellman_ford(
         u: [(e.head, e.weight) for e in instance.out_edges(u)] for u in instance.nodes()
     }
     limit = max_rounds if max_rounds is not None else 4 * instance.num_nodes() + 16
-    if fault_schedule is not None:
-        from repro.congest.faults import resolve_fault_schedule
-
-        if engine is None:
-            engine = "async"
-        fault_schedule = resolve_fault_schedule(fault_schedule, network.indexed)
-        fault_schedule.ensure_eventual_recovery([source], protocol="Bellman-Ford SSSP")
-        if max_rounds is None:
-            limit = 4 * instance.num_nodes() + 2 * fault_schedule.horizon + 32
+    schedule = prepare_fault_run(run_options, network, [source], "Bellman-Ford SSSP")
+    if schedule is not None and max_rounds is None:
+        limit = 4 * instance.num_nodes() + 2 * schedule.horizon + 32
     result = network.run(
         lambda u: BellmanFordNode(u, source),
         max_rounds=limit,
         local_inputs=local_inputs,
         stop_when_quiet=True,
-        engine=engine,
-        trace=trace,
         kernel=BellmanFordKernel(source, local_inputs),
-        num_shards=num_shards,
-        shard_pool=shard_pool,
-        delay_model=delay_model,
-        transport=transport,
-        fault_schedule=fault_schedule,
-        scheduler=scheduler,
-        accel=accel,
+        **run_options,
     )
     distances = {u: out[0] for u, out in result.outputs.items() if out is not None}
     parents = {u: out[1] for u, out in result.outputs.items() if out is not None}

@@ -220,19 +220,26 @@ the selected backend.  Both backends are bit-for-bit interchangeable
 (results, ledger, traces); selection is process-global and sticky until the
 next explicit request.
 
-**Per-tier option support** — which ``run()`` knobs each tier honours
-(``scheduler=`` with a non-async engine and ``fault_schedule=`` with a
-synchronous engine are rejected with :class:`SimulationError`; ``accel=``
-is accepted everywhere but only reaches compiled ops on the array tiers):
+**Per-tier option support** — :meth:`CongestNetwork.run` is the one place
+the tier options are declared and validated; every CONGEST entry point
+(``build_bfs_tree``, ``broadcast``, ``flood_chunks``, ``convergecast_sum``,
+``elect_leader``, ``distributed_bellman_ford``, ``measured_label_broadcast``)
+forwards its extra keywords to it unchanged, so this table holds for all of
+them.  An async-only option (``scheduler=``, ``delay_model=``,
+``fault_schedule=``) with another engine, and ``transport=`` with a
+non-sharded engine, raise :class:`SimulationError`; ``num_shards=``,
+``shard_pool=`` and ``barrier_timeout=`` only reach the sharded tier;
+``accel=`` is accepted everywhere but only reaches compiled ops on the array
+tiers:
 
    ============  =====================  ==================  ==============
    tier          ``scheduler=``         ``accel=`` ops hit  ``transport=``
    ============  =====================  ==================  ==============
-   legacy        rejected               none (dict loop)    n/a
-   fast          rejected               none (scalar loop)  n/a
-   vectorized    rejected               min+parent, gather  n/a
+   legacy        rejected               none (dict loop)    rejected
+   fast          rejected               none (scalar loop)  rejected
+   vectorized    rejected               min+parent, gather  rejected
    sharded       rejected               boundary scatter    shm / socket
-   async         bucketed (default)     none (event loop)   n/a
+   async         bucketed (default)     none (event loop)   rejected
                  / heap (reference)
    ============  =====================  ==================  ==============
 
@@ -643,7 +650,7 @@ def run_vectorized(
     """
     import numpy as np
 
-    from repro.congest.kernels import PackedInbox, invoke_init
+    from repro.congest.kernels import PackedInbox
     from repro.congest.network import SimulationResult
     from repro.graphs.sharding import Shard
 
@@ -708,7 +715,7 @@ def run_vectorized(
         pending_edge_max = int(edge_totals.max())
 
     state: Dict[str, Any] = {}
-    account(invoke_init(kernel, state, csr, shard))
+    account(kernel.init(state, csr, shard))
 
     halted_vec = state.get("halted")  # kernel-owned boolean vector (optional)
     halted_count = int(halted_vec.sum()) if halted_vec is not None else 0
@@ -1240,7 +1247,6 @@ def run_sharded(
     """
     import warnings
 
-    from repro.congest.kernels import supports_shard_init
     from repro.congest.transport import resolve_transport
     from repro.graphs.sharding import ShardPlan
 
@@ -1252,11 +1258,6 @@ def run_sharded(
     if state_schema is None:
         raise SimulationError(
             f"kernel {type(kernel).__name__} declares no StateSchema; it cannot run sharded"
-        )
-    if not supports_shard_init(kernel):
-        raise SimulationError(
-            f"kernel {type(kernel).__name__}.init is not shard-aware "
-            "(expected init(state, csr, shard)); it cannot run sharded"
         )
     if plan is None:
         # ``pool.num_shards`` tracks the *last explicitly requested* size: an
@@ -1308,7 +1309,7 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
 
     import numpy as np
 
-    from repro.congest.kernels import PackedInbox, invoke_init
+    from repro.congest.kernels import PackedInbox
     from repro.congest.network import SimulationResult
     from repro.congest.transport import (
         SharedMemoryTransport,
@@ -1455,7 +1456,7 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
         # never holds a whole-graph state copy; every declared vector of
         # this dict is replaced by the merged shard segments at the end.
         parent_state: Dict[str, Any] = {}
-        invoke_init(kernel, parent_state, csr, Shard(0, 0, 0, 0, 0))
+        kernel.init(parent_state, csr, Shard(0, 0, 0, 0, 0))
 
         batch = session.wait_published()  # workers published their init sends
         sent = account(batch)

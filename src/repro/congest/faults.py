@@ -495,3 +495,29 @@ def resolve_fault_schedule(fault_schedule, indexed) -> FaultSchedule:
         "fault_schedule must be a FaultSchedule or FaultModel instance, got "
         f"{type(fault_schedule)!r}"
     )
+
+
+def prepare_fault_run(run_options: Dict[str, Any], network,
+                      required_nodes: Iterable[NodeId],
+                      protocol: str) -> Optional[FaultSchedule]:
+    """The fault prelude shared by the CONGEST entry points.
+
+    ``run_options`` are the keywords an entry point forwards to
+    :meth:`~repro.congest.network.CongestNetwork.run` on ``network``.
+    Without a ``fault_schedule`` they are left alone and ``None`` is
+    returned.  Otherwise ``engine="async"`` is implied when no engine is
+    given, a :class:`FaultModel` is materialised against the network's
+    graph, and a schedule that crashes any of ``required_nodes`` with no
+    recovery is rejected (:meth:`FaultSchedule.ensure_eventual_recovery`)
+    before any round runs.  The resolved schedule is written back into
+    ``run_options`` and returned.
+    """
+    if run_options.get("fault_schedule") is None:
+        return None
+    if run_options.get("engine") is None:
+        run_options["engine"] = "async"
+    schedule = resolve_fault_schedule(run_options["fault_schedule"],
+                                      network.graph.to_indexed())
+    schedule.ensure_eventual_recovery(required_nodes, protocol=protocol)
+    run_options["fault_schedule"] = schedule
+    return schedule

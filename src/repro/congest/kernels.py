@@ -35,9 +35,7 @@ the degenerate whole-graph shard (both offsets 0), making the vectorized
 execution literally the one-shard special case of the sharded one — the
 translation is the identity there.  The sharded tier places each shard's
 rows in its own shared-memory arena segment and merges them back
-bit-for-bit.  A compatibility shim (:func:`invoke_init`) keeps kernels with
-the pre-shard ``init(state, csr)`` signature working on the single-process
-tiers; such kernels cannot run sharded and fall back to ``vectorized``.
+bit-for-bit.
 
 Kernels must be *bit-for-bit* equivalent to the scalar protocol they
 accelerate: identical rounds, outputs, ``messages_sent``, ``words_sent``,
@@ -187,43 +185,6 @@ class StateSchema:
         return f"StateSchema({', '.join(f'{v.name}:{v.domain}' for v in self.vectors)})"
 
 
-def supports_shard_init(kernel) -> bool:
-    """Return ``True`` when ``kernel.init`` accepts the ``shard`` argument.
-
-    Kernels written before the shard-local state contract declare
-    ``init(self, state, csr)``; the compatibility shim (:func:`invoke_init`)
-    keeps them working on the single-process tiers, but they cannot run on
-    the sharded tier (their whole-graph allocations would not fit the
-    per-shard arena segments).
-    """
-    import inspect
-
-    try:
-        sig = inspect.signature(kernel.init)
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return True
-    positional = [
-        p
-        for p in sig.parameters.values()
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if any(p.kind is p.VAR_POSITIONAL for p in sig.parameters.values()):
-        return True
-    return len(positional) >= 3
-
-
-def invoke_init(kernel, state: Dict[str, Any], csr, shard: Shard):
-    """Call ``kernel.init`` with the shard when supported (compat shim).
-
-    Single-process tiers call through here so kernels with the legacy
-    whole-graph ``init(state, csr)`` signature keep working unchanged (the
-    whole-graph shard makes the two specifications coincide).
-    """
-    if supports_shard_init(kernel):
-        return kernel.init(state, csr, shard)
-    return kernel.init(state, csr)
-
-
 class PackedSends:
     """One round's outgoing traffic as preallocated arc-slot arrays.
 
@@ -336,9 +297,7 @@ class RoundKernel:
       rank maps) must not depend on the shard, so every worker and the
       parent agree on them.  The sharded parent seeds those attributes by
       invoking init with a degenerate *empty* shard (``num_nodes ==
-      num_arcs == 0``), so init must tolerate zero-row allocations.  Legacy
-      kernels with the whole-graph ``init(state, csr)`` signature still run
-      on the single-process tiers through the :func:`invoke_init` shim;
+      num_arcs == 0``), so init must tolerate zero-row allocations;
     * :meth:`round` — consume one round's inbox arrays, update state, return
       the next sends.  Inbox arc slots and sender indices stay *global*; a
       kernel translates them to its local state rows by subtracting
@@ -378,7 +337,7 @@ class RoundKernel:
         exactly the state and sends of the unsliced kernel for that shard
         (the equivalence suite asserts bit-for-bit results, and a
         regression test asserts the per-shard header-byte drop).  The
-        parent always keeps the unsliced kernel for :func:`invoke_init` and
+        parent always keeps the unsliced kernel for :meth:`init` and
         :meth:`outputs`.
         """
         return self

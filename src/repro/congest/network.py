@@ -68,7 +68,7 @@ from repro.congest.engine import (
     sharded_available,
 )
 from repro.congest.faults import FaultVerdict
-from repro.congest.kernels import RoundKernel, supports_shard_init, vectorized_available
+from repro.congest.kernels import RoundKernel, vectorized_available
 from repro.congest.message import DEFAULT_WORDS_PER_MESSAGE, Message
 from repro.congest.node import NodeAlgorithm, NodeContext
 from repro.errors import BandwidthExceededError, ConvergenceError, GraphError, SimulationError
@@ -440,7 +440,6 @@ class CongestNetwork:
                 kernel is not None
                 and sharded_available()
                 and kernel.state_schema(self.indexed.to_arrays()) is not None
-                and supports_shard_init(kernel)
             ):
                 return run_sharded(
                     self,
@@ -458,14 +457,8 @@ class CongestNetwork:
             elif not sharded_available():
                 reason = "numpy/shared-memory support is unavailable"
                 chosen = "vectorized" if vectorized_available() else "fast"
-            elif kernel.state_schema(self.indexed.to_arrays()) is None:
-                reason = f"kernel {type(kernel).__name__} declares no StateSchema"
-                chosen = "vectorized"
             else:
-                reason = (
-                    f"kernel {type(kernel).__name__}.init is not shard-aware "
-                    "(expected init(state, csr, shard))"
-                )
+                reason = f"kernel {type(kernel).__name__} declares no StateSchema"
                 chosen = "vectorized"
             warnings.warn(
                 fallback_message("sharded", chosen, reason),

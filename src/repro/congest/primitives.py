@@ -27,10 +27,14 @@ each helper also attaches the matching whole-round
 ``engine="sharded"`` (any shard count) produce bit-for-bit identical
 outputs, rounds and ledger.  ``convergecast_sum`` attaches its kernel only
 for the default summing combiner over plain numeric values; a custom
-``combine`` falls back to the scalar tiers.  The helpers forward
-``scheduler=`` (async event queue: ``"bucketed"``/``"heap"``) and ``accel=``
-(numpy-tier compiled backend: ``"auto"``/``"python"``/``"numba"``) to
-:meth:`CongestNetwork.run`.
+``combine`` falls back to the scalar tiers.
+
+Every helper takes its protocol arguments and ``max_rounds``; all other
+keywords (``engine``, ``trace``, ``num_shards``, ``fault_schedule``, ...) go
+unchanged to :meth:`CongestNetwork.run`, which declares, documents and
+validates them.  A ``fault_schedule`` implies ``engine="async"`` when no
+engine is given (:func:`~repro.congest.faults.prepare_fault_run`), and each
+helper names the nodes that must eventually recover from it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.congest.faults import prepare_fault_run
 from repro.congest.message import Message
 from repro.congest.network import CongestNetwork, SimulationResult
 from repro.congest.node import NodeAlgorithm, NodeContext
@@ -111,57 +116,28 @@ def build_bfs_tree(
     network: CongestNetwork,
     root: NodeId,
     max_rounds: int = 100_000,
-    engine: Optional[str] = None,
-    trace=None,
-    num_shards: Optional[int] = None,
-    shard_pool=None,
-    delay_model=None,
-    transport=None,
-    fault_schedule=None,
-    scheduler: Optional[str] = None,
-    accel: Optional[str] = None,
+    **run_options: Any,
 ) -> Tuple[Dict[NodeId, Optional[NodeId]], Dict[NodeId, int], SimulationResult]:
     """Construct a BFS tree rooted at ``root``.
 
     Returns ``(parent, depth, simulation_result)``; nodes unreachable from the
-    root have no entry in either mapping.  ``engine``/``trace`` are passed
-    through to :meth:`CongestNetwork.run`.  With ``engine="vectorized"`` the
-    construction runs as the whole-round
-    :class:`~repro.congest.kernels.BFSTreeKernel`, ``engine="sharded"``
-    distributes the same kernel over ``num_shards`` worker processes, and
-    ``engine="async"`` executes the scalar protocol on the event-driven
-    scheduler under ``delay_model`` — identical parents/depths and measured
-    traffic on every tier.  ``fault_schedule`` injects seeded node/edge
-    crash+recover transitions on the async tier (implied when no engine is
-    requested); the root must eventually recover, since a permanently dead
-    root can never re-seed depth 0.
+    root have no entry in either mapping.  Attaches
+    :class:`~repro.congest.kernels.BFSTreeKernel` for the kernel tiers; the
+    parents, depths and measured traffic are identical on every tier.  Under
+    a ``fault_schedule`` the root must eventually recover, since a
+    permanently dead root can never re-seed depth 0.  Other keywords go to
+    :meth:`CongestNetwork.run`.
     """
     if not network.graph.has_node(root):
         raise GraphError(f"root {root!r} not in network")
     from repro.congest.kernels import BFSTreeKernel
 
-    if fault_schedule is not None:
-        from repro.congest.faults import resolve_fault_schedule
-
-        if engine is None:
-            engine = "async"
-        fault_schedule = resolve_fault_schedule(
-            fault_schedule, network.graph.to_indexed()
-        )
-        fault_schedule.ensure_eventual_recovery([root], protocol="BFS tree construction")
+    prepare_fault_run(run_options, network, [root], "BFS tree construction")
     result = network.run(
         lambda u: BFSTreeNode(u, root),
         max_rounds=max_rounds,
-        engine=engine,
-        trace=trace,
         kernel=BFSTreeKernel(root),
-        num_shards=num_shards,
-        shard_pool=shard_pool,
-        delay_model=delay_model,
-        transport=transport,
-        fault_schedule=fault_schedule,
-        scheduler=scheduler,
-        accel=accel,
+        **run_options,
     )
     parent: Dict[NodeId, Optional[NodeId]] = {}
     depth: Dict[NodeId, int] = {}
@@ -218,37 +194,19 @@ def broadcast(
     root: NodeId,
     value: Any,
     max_rounds: int = 100_000,
-    engine: Optional[str] = None,
-    trace=None,
-    delay_model=None,
-    fault_schedule=None,
-    scheduler: Optional[str] = None,
-    accel: Optional[str] = None,
+    **run_options: Any,
 ) -> Tuple[Dict[NodeId, Any], SimulationResult]:
     """Broadcast ``value`` from ``root``; returns ``(received_values, result)``.
 
-    ``fault_schedule`` injects seeded crash+recover transitions on the async
-    tier (implied when no engine is requested); the root must eventually
-    recover.
+    No kernel is attached, so the kernel tiers fall back to ``fast``.  Under
+    a ``fault_schedule`` the root must eventually recover.  Other keywords
+    go to :meth:`CongestNetwork.run`.
     """
-    if fault_schedule is not None:
-        from repro.congest.faults import resolve_fault_schedule
-
-        if engine is None:
-            engine = "async"
-        fault_schedule = resolve_fault_schedule(
-            fault_schedule, network.graph.to_indexed()
-        )
-        fault_schedule.ensure_eventual_recovery([root], protocol="flood broadcast")
+    prepare_fault_run(run_options, network, [root], "flood broadcast")
     result = network.run(
         lambda u: FloodBroadcastNode(u, root, value),
         max_rounds=max_rounds,
-        engine=engine,
-        trace=trace,
-        delay_model=delay_model,
-        fault_schedule=fault_schedule,
-        scheduler=scheduler,
-        accel=accel,
+        **run_options,
     )
     return dict(result.outputs), result
 
@@ -361,15 +319,7 @@ def flood_chunks(
     root: NodeId,
     chunks: Sequence[Any],
     max_rounds: int = 1_000_000,
-    engine: Optional[str] = None,
-    trace=None,
-    num_shards: Optional[int] = None,
-    shard_pool=None,
-    delay_model=None,
-    transport=None,
-    fault_schedule=None,
-    scheduler: Optional[str] = None,
-    accel: Optional[str] = None,
+    **run_options: Any,
 ) -> Tuple[Dict[NodeId, Any], SimulationResult]:
     """Flood the ordered ``chunks`` from ``root``; O(D + len(chunks)) rounds.
 
@@ -378,43 +328,26 @@ def flood_chunks(
     carries one chunk plus (index, count) framing; size the network's
     ``words_per_message`` to the largest chunk.
 
-    With ``engine="vectorized"`` the broadcast runs as the whole-round
-    :class:`~repro.congest.kernels.FloodingKernel`, and with
-    ``engine="sharded"`` the same kernel is distributed over ``num_shards``
-    worker processes — identical measured rounds and traffic on every tier,
-    so engine-measured BCT broadcasts (see
+    Attaches :class:`~repro.congest.kernels.FloodingKernel` for the kernel
+    tiers, with identical measured rounds and traffic on every tier, so
+    engine-measured BCT broadcasts (see
     :func:`~repro.labeling.construction.build_distance_labeling`) can use
-    any of them.
+    any of them.  Under a ``fault_schedule`` the root must eventually
+    recover.  Other keywords go to :meth:`CongestNetwork.run`.
     """
     if not network.graph.has_node(root):
         raise GraphError(f"root {root!r} not in network")
     from repro.congest.kernels import FloodingKernel
 
-    if fault_schedule is not None:
-        from repro.congest.faults import resolve_fault_schedule
-
-        if engine is None:
-            engine = "async"
-        fault_schedule = resolve_fault_schedule(
-            fault_schedule, network.graph.to_indexed()
-        )
-        fault_schedule.ensure_eventual_recovery([root], protocol="chunk flooding")
+    prepare_fault_run(run_options, network, [root], "chunk flooding")
     # Always attach the kernel (construction is cheap); the dispatcher in
     # CongestNetwork.run uses it only when a kernel tier actually runs, so
     # the protocol follows the network's default engine too.
     result = network.run(
         lambda u: ChunkFloodNode(u, root, chunks),
         max_rounds=max_rounds,
-        engine=engine,
-        trace=trace,
         kernel=FloodingKernel(root, chunks),
-        num_shards=num_shards,
-        shard_pool=shard_pool,
-        delay_model=delay_model,
-        transport=transport,
-        fault_schedule=fault_schedule,
-        scheduler=scheduler,
-        accel=accel,
+        **run_options,
     )
     received = {u: out for u, out in result.outputs.items() if out is not None}
     return received, result
@@ -503,27 +436,18 @@ def convergecast_sum(
     values: Dict[NodeId, Any],
     combine: Callable[[Any, Any], Any] = _sum_combine,
     max_rounds: int = 100_000,
-    engine: Optional[str] = None,
-    trace=None,
-    num_shards: Optional[int] = None,
-    shard_pool=None,
-    delay_model=None,
-    transport=None,
-    fault_schedule=None,
-    scheduler: Optional[str] = None,
-    accel: Optional[str] = None,
+    **run_options: Any,
 ) -> Tuple[Any, SimulationResult]:
     """Aggregate ``values`` up the tree given as a child->parent map.
 
     Returns ``(root_aggregate, simulation_result)``.  With the default
     summing ``combine`` over plain numeric values the helper attaches
-    :class:`~repro.congest.kernels.ConvergecastKernel`, so
-    ``engine="vectorized"``/``"sharded"`` aggregate with whole-round
-    segmented sums — bit-for-bit the scalar result; a custom ``combine`` (or
-    exotic value types) runs on the scalar tiers only.  ``fault_schedule``
-    injects seeded crash+recover transitions on the async tier (implied when
-    no engine is requested); the tree root must eventually recover, since
-    the aggregate is read off it.
+    :class:`~repro.congest.kernels.ConvergecastKernel`, so the kernel tiers
+    aggregate with whole-round segmented sums, bit-for-bit the scalar
+    result; a custom ``combine`` (or exotic value types) runs on the scalar
+    tiers only.  Under a ``fault_schedule`` the tree root must eventually
+    recover, since the aggregate is read off it.  Other keywords go to
+    :meth:`CongestNetwork.run`.
     """
     children: Dict[NodeId, List[NodeId]] = {u: [] for u in parent}
     root = None
@@ -534,15 +458,7 @@ def convergecast_sum(
             children[p].append(u)
     if root is None:
         raise GraphError("tree has no root")
-    if fault_schedule is not None:
-        from repro.congest.faults import resolve_fault_schedule
-
-        if engine is None:
-            engine = "async"
-        fault_schedule = resolve_fault_schedule(
-            fault_schedule, network.graph.to_indexed()
-        )
-        fault_schedule.ensure_eventual_recovery([root], protocol="convergecast")
+    prepare_fault_run(run_options, network, [root], "convergecast")
 
     def factory(u: NodeId) -> NodeAlgorithm:
         if u in parent:
@@ -563,10 +479,7 @@ def convergecast_sum(
 
         kernel = ConvergecastKernel(parent, values)
     result = network.run(
-        factory, max_rounds=max_rounds, engine=engine, trace=trace,
-        kernel=kernel, num_shards=num_shards, shard_pool=shard_pool,
-        delay_model=delay_model, transport=transport,
-        fault_schedule=fault_schedule, scheduler=scheduler, accel=accel,
+        factory, max_rounds=max_rounds, kernel=kernel, **run_options
     )
     return result.outputs[root], result
 
@@ -618,49 +531,28 @@ class LeaderElectionNode(NodeAlgorithm):
 def elect_leader(
     network: CongestNetwork,
     max_rounds: int = 100_000,
-    engine: Optional[str] = None,
-    trace=None,
-    num_shards: Optional[int] = None,
-    shard_pool=None,
-    delay_model=None,
-    transport=None,
-    fault_schedule=None,
-    scheduler: Optional[str] = None,
-    accel: Optional[str] = None,
+    **run_options: Any,
 ) -> Tuple[NodeId, SimulationResult]:
     """Elect the minimum-id node as leader; returns ``(leader, result)``.
 
     Raises :class:`GraphError` if the network is disconnected (nodes would
     disagree on the leader).  The helper attaches
-    :class:`~repro.congest.kernels.LeaderElectionKernel`, so
-    ``engine="vectorized"``/``"sharded"`` flood precomputed id ranks with
-    whole-round segmented minima — bit-for-bit the scalar election on any
-    shard count.  ``fault_schedule`` injects seeded crash+recover
-    transitions on the async tier (implied when no engine is requested);
-    every node must eventually recover, since the min-id flood only
-    converges once every node can report the leader.
+    :class:`~repro.congest.kernels.LeaderElectionKernel`, so the kernel
+    tiers flood precomputed id ranks with whole-round segmented minima,
+    bit-for-bit the scalar election on any shard count.  Under a
+    ``fault_schedule`` every node must eventually recover, since the min-id
+    flood only converges once every node can report the leader.  Other
+    keywords go to :meth:`CongestNetwork.run`.
     """
     if not network.graph.is_connected():
         raise GraphError("leader election requires a connected network")
-    if fault_schedule is not None:
-        from repro.congest.faults import resolve_fault_schedule
-
-        if engine is None:
-            engine = "async"
-        fault_schedule = resolve_fault_schedule(
-            fault_schedule, network.graph.to_indexed()
-        )
-        fault_schedule.ensure_eventual_recovery(
-            network.graph.nodes(), protocol="leader election"
-        )
+    prepare_fault_run(run_options, network, network.graph.nodes(),
+                      "leader election")
     from repro.congest.kernels import LeaderElectionKernel
 
     result = network.run(
-        lambda u: LeaderElectionNode(u), max_rounds=max_rounds, engine=engine,
-        trace=trace, kernel=LeaderElectionKernel(),
-        num_shards=num_shards, shard_pool=shard_pool,
-        delay_model=delay_model, transport=transport,
-        fault_schedule=fault_schedule, scheduler=scheduler, accel=accel,
+        lambda u: LeaderElectionNode(u), max_rounds=max_rounds,
+        kernel=LeaderElectionKernel(), **run_options,
     )
     leaders = set(map(str, result.outputs.values()))
     if len(leaders) != 1:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional
 
-from repro.congest.faults import resolve_fault_schedule
+from repro.congest.faults import prepare_fault_run
 from repro.congest.kernels import FloodingKernel
 from repro.congest.network import CongestNetwork, SimulationResult
 from repro.congest.primitives import ChunkFloodNode
@@ -184,13 +184,7 @@ def measured_label_broadcast(
     labeling: DistanceLabeling,
     source: NodeId,
     max_rounds: int = 1_000_000,
-    engine: Optional[str] = None,
-    trace=None,
-    num_shards: Optional[int] = None,
-    shard_pool=None,
-    delay_model=None,
-    transport=None,
-    fault_schedule=None,
+    **run_options: Any,
 ) -> SimulationResult:
     """Execute the pipelined la(s) broadcast on ``network`` and return the run.
 
@@ -199,27 +193,17 @@ def measured_label_broadcast(
     carry one hub entry (≈ 5 words + the hub id); size the network's
     ``words_per_message`` accordingly for exotic node-id types.
 
-    With ``engine="vectorized"`` the broadcast runs as the whole-round
-    :class:`LabelBroadcastKernel`; ``engine="sharded"`` distributes the same
-    kernel over ``num_shards`` worker processes (identical measured rounds
-    and traffic either way).  ``engine="async"`` runs the scalar pipelined
-    flood on the event-driven scheduler under ``delay_model`` — the decoded
-    distances are schedule-invariant, and the measured rounds/traffic equal
-    the synchronous tiers.
-
-    A ``fault_schedule`` (see :mod:`repro.congest.faults`) implies the async
-    tier; the broadcast self-stabilizes through crashes and recoveries via
-    the chunk-flood recovery hook, provided the source eventually stays up.
+    Attaches :class:`LabelBroadcastKernel` for the kernel tiers.  The decoded
+    distances are identical on every tier (schedule-invariant on the async
+    tier), and so are the measured rounds and traffic.  Under a
+    ``fault_schedule`` the broadcast self-stabilizes through crashes and
+    recoveries via the chunk-flood recovery hook, provided the source
+    eventually stays up.  Other keywords go to :meth:`CongestNetwork.run`.
     """
     if source not in labeling:
         raise LabelingError(f"source {source!r} has no label")
     src_label = labeling.label(source)
-    if fault_schedule is not None:
-        if engine is None:
-            engine = "async"
-        schedule = resolve_fault_schedule(fault_schedule, network.indexed)
-        schedule.ensure_eventual_recovery([source], protocol="label broadcast")
-        fault_schedule = schedule
+    prepare_fault_run(run_options, network, [source], "label broadcast")
 
     def factory(u: NodeId) -> LabelBroadcastNode:
         own = labeling.label(u) if u in labeling else None
@@ -229,14 +213,8 @@ def measured_label_broadcast(
         factory,
         max_rounds=max_rounds,
         stop_when_quiet=True,
-        engine=engine,
-        trace=trace,
         kernel=LabelBroadcastKernel(source, src_label, labeling),
-        num_shards=num_shards,
-        shard_pool=shard_pool,
-        delay_model=delay_model,
-        transport=transport,
-        fault_schedule=fault_schedule,
+        **run_options,
     )
 
 

@@ -132,35 +132,6 @@ class TestMatrix:
                 < family_size(family, "full")
             )
 
-    def test_bench_modules_expose_valid_matrix_cells(self):
-        benchmarks_dir = os.path.join(REPO_ROOT, "benchmarks")
-        if benchmarks_dir not in sys.path:
-            sys.path.insert(0, benchmarks_dir)
-        import importlib
-
-        modules = [
-            name[: -len(".py")]
-            for name in os.listdir(benchmarks_dir)
-            if name.startswith("bench_") and name.endswith(".py")
-        ]
-        assert len(modules) >= 11
-        seen = 0
-        for name in sorted(modules):
-            mod = importlib.import_module(name)
-            cells = mod.matrix_cells(scale="smoke", seed=7)
-            assert cells, name
-            for cell in cells:
-                seen += 1
-                adapter = REGISTRY[cell.protocol]
-                assert cell.family in adapter.families, (name, cell)
-                if adapter.engines == (STRUCTURAL_ENGINE,):
-                    assert cell.engine == STRUCTURAL_ENGINE, (name, cell)
-                else:
-                    assert cell.engine in adapter.engines, (name, cell)
-                assert cell.scale == "smoke"
-                assert cell.seed == 7
-        assert seen >= 15
-
 
 # --------------------------------------------------------------------------- #
 # stub protocols for runner tests (cheap, deterministic, countable)
@@ -312,7 +283,7 @@ class TestResultStore:
         assert store.get("aaaa")["x"] == 1
         assert store.keys() == ["aaaa", "bbbb"]
 
-        out = store.consolidate(str(tmp_path / "all.jsonl"), fmt="jsonl")
+        out = store.consolidate(str(tmp_path / "all.jsonl"))
         lines = open(out).read().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["x"] == 1
@@ -518,6 +489,33 @@ class TestExport:
         record = load_trajectory(engine_out)
         assert "handwritten_case" in record
         assert f"matrix_{stub_protocol}_path_smoke" in record
+
+
+    def test_cli_export_writes_one_canonical_line_per_record(
+        self, tmp_path, stub_protocol
+    ):
+        from repro.experiments.cli import main
+
+        cells = make_matrix(
+            protocols=(stub_protocol,), engines=("fast", "vectorized"),
+            families=("path",), scale="smoke", seeds=(1, 2),
+        ).cells()
+        store = ResultStore(tmp_path / "s")
+        run_matrix(cells, store, timer=fake_timer())
+        consolidated = tmp_path / "all.jsonl"
+        code = main([
+            "export", "--store", str(tmp_path / "s"),
+            "--engine-out", str(tmp_path / "BENCH_engine.json"),
+            "--serving-out", str(tmp_path / "BENCH_serving.json"),
+            "--consolidated", str(consolidated),
+        ])
+        assert code == 0
+        expected = [
+            json.dumps(record, sort_keys=True, separators=(",", ":"))
+            for _, record in store.records()
+        ]
+        assert len(expected) == len(cells) == 4
+        assert consolidated.read_text().splitlines() == expected
 
 
 # --------------------------------------------------------------------------- #

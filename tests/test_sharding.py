@@ -7,8 +7,7 @@ classification, packed exchange tables), the :class:`StateSchema`
 shard-local allocation mode and per-shard arena segments, the persistent
 :class:`ShardPool` (reuse, resize, crash recovery, lifecycle), shared-memory
 hygiene under hard worker kills, the single-warning graceful fallback
-ladder (including the shard-aware-init requirement and num_shards
-clamping), custom shard plans, and worker failure propagation.
+ladder (including num_shards clamping), custom shard plans, and worker failure propagation.
 """
 
 from __future__ import annotations
@@ -326,39 +325,6 @@ class TestGracefulFallbackWarnings:
         assert len(fallbacks) == 1
         assert "engine='sharded' unavailable" in str(fallbacks[0].message)
         assert "no RoundKernel" in str(fallbacks[0].message)
-
-    @needs_sharded
-    def test_sharded_with_legacy_init_falls_back_to_vectorized(self):
-        """A kernel with the pre-shard whole-graph ``init(state, csr)``
-        signature still runs on the vectorized tier through the compat shim,
-        but a sharded request falls back (one warning naming the reason)."""
-        from repro.congest.primitives import ChunkFloodNode
-
-        class LegacyInitKernel(FloodingKernel):
-            def init(self, state, csr):  # legacy 2-arg signature
-                from repro.graphs.sharding import Shard
-
-                return super().init(state, csr, Shard.full(csr))
-
-        graph = generators.grid_graph(4, 4)
-        net = CongestNetwork(graph)
-        root = (0, 0)
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            result = net.run(
-                lambda u: ChunkFloodNode(u, root, [("c", 0)]),
-                engine="sharded",
-                kernel=LegacyInitKernel(root, [("c", 0)]),
-            )
-        fallbacks = [w for w in rec if issubclass(w.category, EngineFallbackWarning)]
-        assert result.engine == "vectorized"
-        assert len(fallbacks) == 1
-        assert "not shard-aware" in str(fallbacks[0].message)
-        # The shim result is bit-for-bit the scalar run.
-        ref = net.run(lambda u: ChunkFloodNode(u, root, [("c", 0)]), engine="fast")
-        assert result.outputs == ref.outputs
-        assert result.rounds == ref.rounds
-        assert result.words_sent == ref.words_sent
 
     @needs_sharded
     def test_oversized_num_shards_clamped_with_warning(self):
