@@ -1,16 +1,15 @@
-"""Execution engines for the CONGEST simulator — five tiers × two shard
-transports.
+"""Execution engines for the CONGEST simulator — five tiers.
 
 This module holds the synchronous execution cores behind
 :meth:`CongestNetwork.run` (the asynchronous fifth tier lives in
-:mod:`repro.congest.scheduler`; the sharded tier's two boundary-exchange
-transports live in :mod:`repro.congest.transport`).  All five tiers execute
+:mod:`repro.congest.scheduler`; the sharded tier's socket boundary exchange
+lives in :mod:`repro.congest.transport`).  All five tiers execute
 identical protocol semantics and are equivalence-tested against each other
 on randomized graph families (``tests/test_engine_equivalence.py``,
 ``tests/test_socket_transport.py`` and ``tests/test_async_scheduler.py``):
 identical round counts, outputs, message/word counts, per-edge-per-round
 bandwidth and round traces on every seeded instance — for the sharded tier
-at every shard count *under either transport*, and for the async tier under
+at every shard count, and for the async tier under
 the unit-delay model (with protocol outputs additionally schedule-invariant
 under every seeded delay model).
 
@@ -50,88 +49,58 @@ under every seeded delay model).
    ranges).  One worker process per shard executes the kernel over its
    ranges in lockstep rounds; workers come from a persistent
    :class:`ShardPool` (parked between runs, reused across
-   :meth:`CongestNetwork.run` calls) or an ephemeral per-run pool.  The
-   boundary exchange itself is pluggable
-   (``run(engine="sharded", transport=...)``): the default
-   **shared-memory transport** described below, or the **socket transport**
-   in which workers hold no shared memory at all and everything crosses
-   localhost TCP (see *Pluggable shard transports*).
+   :meth:`CongestNetwork.run` calls) or an ephemeral per-run pool, and
+   all cross-process traffic moves over loopback TCP as length-prefixed
+   frames (see :mod:`repro.congest.transport`).
 
-   **Memory model — state is owned by shards, not replicated.**  The
-   ``multiprocessing.shared_memory`` arena of a run is laid out as one
-   *segment group per shard*: the shard-local rows of every declared state
-   vector, the shard's double-banked send mask/word slices, and its packed
-   boundary payload arrays (one slot per *boundary* arc — an arc whose
-   reverse arc another shard owns — per payload field, not one per arc).
+   **Memory model — state is owned by shards, not replicated.**
    ``kernel.init(state, csr, shard)`` allocates and seeds only the calling
-   shard's rows, so per-worker peak declared-state memory is
-   O((n + m) / num_shards + boundary), and the whole-arena total is one
-   instance, not (num_shards + 1) instances.  Per-tier peak declared-state
-   memory for a kernel with S bytes of declared whole-graph state:
+   shard's rows of every declared state vector (checked against the
+   :class:`~repro.congest.kernels.StateSchema` before the first round), so
+   per-worker peak declared-state memory is O((n + m) / num_shards +
+   boundary), and the parent holds one merged instance only at the end.
+   Per-tier peak declared-state memory for a kernel with S bytes of
+   declared whole-graph state:
 
    ======================  =========================================
    tier                    peak declared state
    ======================  =========================================
    fast / legacy           n/a (per-node Python objects, O(n + m))
    vectorized              S (one in-process copy)
-   sharded, per worker     S / num_shards + O(boundary) exchange
-   sharded, whole arena    S + 2·(mask + words + packed boundary)
+   sharded, per worker     S / num_shards + O(boundary) frame buffers
+   sharded, parent         S (the final merge only)
    ======================  =========================================
 
    **Packed boundary-exchange contract** (tables precomputed by
-   :meth:`ShardPlan.exchange`): per round a worker *publishes* its send
-   mask/word slices plus the payload values of its boundary slots — packed,
-   O(boundary) words — into the round's arena bank, then *gathers* its
-   inbox: interior slots from its private send buffers, foreign slots
-   straight from the owning peer's packed array via per-pair
-   (packed-position, inbox-slot) index maps.  The banks alternate per round
-   (double buffering), so a round needs only **two barriers** (publish →
-   verdict) instead of three: publishing round r+1 writes the opposite bank
-   from the one peers still gather round r from.  The parent performs the
-   bandwidth/ledger accounting from the shared mask+words segments between
-   the barriers with the exact array expressions of the vectorized tier —
-   which makes ``RoundStats``/``SimulationTrace``/ledger merging
-   bit-for-bit by construction rather than by reduction.
-
-   **Pluggable shard transports** (:mod:`repro.congest.transport`).  The
-   worker loop and the parent accounting speak only the ``Transport`` API,
-   so the exchange above has two interchangeable carriers:
-
-   * ``transport="shm"`` (default) — the arena/double-banked exchange
-     exactly as described: zero-copy, paced by the pool barrier.  Use it
-     whenever all shards share a host — it is strictly faster.
-   * ``transport="socket"`` — each worker keeps its state private and all
-     cross-process traffic moves over localhost TCP as length-prefixed
-     frames (``!I`` byte-count prefix): per worker one *control*
-     connection to the parent (a pickled ``hello``/``ports`` handshake,
-     then per round one pickled ``pub`` frame — sent-slot indices,
-     per-message words, halted count/census — and a 1-byte ``R``/``S``
-     verdict frame replacing the two barriers, plus a final ``fin`` frame
-     shipping the declared state rows for the merge), and per
-     :class:`PeerExchange` pair one raw peer connection carrying
-     ``packbits(mask[src_local])`` followed by the masked payload values —
-     O(boundary) bytes per round with no indices on the wire, because the
-     sender's ``ShardPlan.peer_links`` table is parallel to the receiver's
-     gather table.  Use it to measure boundary traffic as a *real* network
-     cost (``shard_stats`` then reports ``wire_bytes_by_peer`` /
-     ``wire_bytes_total``) or as the stepping stone to multi-host runs; a
-     listener that cannot bind degrades to shared memory with one
-     :class:`EngineFallbackWarning` naming both flavours.
+   :meth:`ShardPlan.exchange`): per round a worker *publishes* its sent
+   slots and words to the parent in one control frame, and to each peer
+   shard one frame of ``packbits(mask[src_local])`` followed by the masked
+   payload values — O(boundary) bytes, no indices on the wire, because the
+   sender's ``ShardPlan.peer_links`` table is parallel to the receiver's
+   gather table.  It then waits for the parent's 1-byte RUN/STOP verdict
+   and *gathers* its inbox: interior slots from its private send buffers,
+   foreign slots from the peer frames.  The parent performs the
+   bandwidth/ledger accounting from the published slots and words with the
+   exact array expressions of the vectorized tier — which makes
+   ``RoundStats``/``SimulationTrace``/ledger merging bit-for-bit by
+   construction rather than by reduction.  Every frame is counted:
+   ``shard_stats`` reports ``wire_bytes_by_peer``, ``wire_control_bytes``
+   and ``wire_bytes_total``.  A listener that cannot bind falls back to
+   ``vectorized`` with one :class:`EngineFallbackWarning` naming the error.
 
    **ShardPool lifecycle**: ``ShardPool(num_shards=k)`` starts workers
    lazily on first use; between runs they park on their job pipe, and each
    run ships only a run header, split into a pickled-once common blob
-   (transport descriptor + graph snapshot) and a tiny per-shard suffix
-   (shard index + that shard's ``slice_for_shard`` view of the kernel, so
-   per-worker header ingest is O(payload / num_shards)) — the graph
-   snapshot is cached worker-side until it changes.  A run at a different
-   shard count restarts the pool; a failed run (crash, timeout, oversized
-   message) discards the worker generation and the next run restarts it
-   transparently.  ``close()`` — directly, via the pool's or the owning
-   :class:`CongestNetwork`'s context manager, or the interpreter-exit
-   finalizer — shuts the (daemonic) workers down; the per-run arena is
-   closed+unlinked in a ``finally`` block even when a worker is SIGKILLed
-   mid-round, so no shared-memory name outlives a run.
+   (the parent listener's address + graph snapshot) and a tiny per-shard
+   suffix (shard index + that shard's ``slice_for_shard`` view of the
+   kernel, so per-worker header ingest is O(payload / num_shards)) — the
+   graph snapshot is cached worker-side until it changes.  A run at a
+   different shard count restarts the pool; a failed run (crash, timeout,
+   oversized message) closes the run's connections, which wakes every
+   blocked worker, and discards the worker generation — the next run
+   restarts it transparently.  ``close()`` — directly, via the pool's or
+   the owning :class:`CongestNetwork`'s context manager, or the
+   interpreter-exit finalizer — shuts the (daemonic) workers down.
 
 5. ``engine="async"`` (:func:`~repro.congest.scheduler.run_async`) — the
    event-driven asynchronous tier: a discrete-event scheduler assigns every
@@ -226,19 +195,19 @@ the tier options are declared and validated; every CONGEST entry point
 ``elect_leader``, ``distributed_bellman_ford``, ``measured_label_broadcast``)
 forwards its extra keywords to it unchanged, so this table holds for all of
 them.  An async-only option (``scheduler=``, ``delay_model=``,
-``fault_schedule=``) with another engine, and ``transport=`` with a
-non-sharded engine, raise :class:`SimulationError`; ``num_shards=``,
-``shard_pool=`` and ``barrier_timeout=`` only reach the sharded tier;
-``accel=`` is accepted everywhere but only reaches compiled ops on the array
-tiers:
+``fault_schedule=``) with another engine, and a sharded-only option
+(``num_shards=``, ``shard_pool=``, ``barrier_timeout=``) with a non-sharded
+engine, raise :class:`SimulationError`, as do a ``num_shards`` below 1 and
+a ``barrier_timeout`` that is not positive; ``accel=`` is accepted
+everywhere but only reaches compiled ops on the array tiers:
 
    ============  =====================  ==================  ==============
-   tier          ``scheduler=``         ``accel=`` ops hit  ``transport=``
+   tier          ``scheduler=``         ``accel=`` ops hit  ``num_shards=``
    ============  =====================  ==================  ==============
    legacy        rejected               none (dict loop)    rejected
    fast          rejected               none (scalar loop)  rejected
    vectorized    rejected               min+parent, gather  rejected
-   sharded       rejected               boundary scatter    shm / socket
+   sharded       rejected               boundary scatter    worker count
    async         bucketed (default)     none (event loop)   rejected
                  / heap (reference)
    ============  =====================  ==================  ==============
@@ -256,9 +225,9 @@ at 2 shards with a 50% boundary fraction on a single-core host, up from
 runs still pay worker startup and the graph ship).  On a one-core host the
 sharded win comes from the kernelized per-round compute, not parallelism;
 in-process ``vectorized`` still wins outright there, and the tier's target
-regime remains per-round kernel work large enough to amortize two barriers
-per round — now with the added property that the *instance itself* no
-longer has to fit a single process's declared-state budget.  On the async
+regime remains per-round kernel work large enough to amortize two frame
+round trips per round — now with the added property that the *instance
+itself* no longer has to fit a single process's declared-state budget.  On the async
 tier the bucketed calendar queue clears ≥ 2× the heap's events/s on the
 deep-path case (~0.66M → ~1.5M events/s at bench scale, where silent-node
 pulse ranges fuse into single ticks) and ~1.4× on the dense case (payload
@@ -282,7 +251,6 @@ benchmarks and scaling studies.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional
 
@@ -292,18 +260,14 @@ from repro.errors import BandwidthExceededError, ConvergenceError, SimulationErr
 
 NodeId = Hashable
 
-#: Parent -> worker commands in the sharded tier's control slot.
-_CMD_RUN = 0
-_CMD_STOP = 1
-
 #: Default cap on worker processes when ``num_shards`` is not given.
 _DEFAULT_SHARD_CAP = 8
 
-#: Default per-phase barrier timeout of the sharded tier (seconds).  Each
-#: round has two barriers and the timeout bounds ONE phase's work (a
-#: single round's gather+compute+publish, or the parent's accounting), not
-#: the whole run; raise it via ``run(..., barrier_timeout=...)`` for
-#: instances whose individual rounds legitimately run longer.
+#: Default per-frame timeout of the sharded tier (seconds).  It bounds
+#: every wait for ONE frame (a worker's round of gather+compute+publish,
+#: or the parent's accounting before its verdict), not the whole run; raise
+#: it via ``run(..., barrier_timeout=...)`` for instances whose individual
+#: rounds legitimately run longer.
 DEFAULT_BARRIER_TIMEOUT = 120.0
 
 
@@ -333,7 +297,6 @@ def sharded_available() -> bool:
     """Return ``True`` when the sharded tier can run on this platform."""
     try:
         import numpy  # noqa: F401
-        from multiprocessing import shared_memory, synchronize  # noqa: F401
     except ImportError:  # pragma: no cover - exercised on exotic platforms
         return False
     return True
@@ -792,95 +755,16 @@ def run_vectorized(
 
 
 # --------------------------------------------------------------------------- #
-# Sharded tier: shared-memory arena + lockstep worker processes
+# Sharded tier: lockstep worker processes over the socket transport
 # --------------------------------------------------------------------------- #
-
-def _arena_layout(specs):
-    """Lay out named arrays in one shared-memory block (64-byte aligned).
-
-    Returns ``(layout, total_bytes)`` where ``layout`` maps each name to
-    ``(offset, shape, dtype_str)`` — plain picklable data that workers use to
-    rebuild their views.
-    """
-    import numpy as np
-
-    layout = {}
-    offset = 0
-    for name, shape, dtype in specs:
-        dt = np.dtype(dtype)
-        size = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        layout[name] = (offset, tuple(int(x) for x in shape), dt.str)
-        offset += (size + 63) & ~63
-    # Pad so even zero-size views at the tail have a valid offset.
-    return layout, offset + 64
-
-
-def _arena_views(buf, layout):
-    """Materialize the numpy views of an arena layout over ``buf``."""
-    import numpy as np
-
-    return {
-        name: np.ndarray(shape, dtype=np.dtype(ds), buffer=buf, offset=off)
-        for name, (off, shape, ds) in layout.items()
-    }
-
-
-def _attach_arena(name):
-    """Attach a worker to the parent's shared-memory block by name.
-
-    Works under both ``fork`` and ``spawn``: workers inherit the parent's
-    resource-tracker channel, so their attach-time registration is an
-    idempotent set-add and the parent's ``unlink`` retires the name exactly
-    once (also when a worker is killed mid-run — the tracker process is
-    shared, so no per-worker leak record survives).
-    """
-    from multiprocessing import shared_memory
-
-    return shared_memory.SharedMemory(name=name)
-
-
-def _sharded_specs(plan, schema, state_schema, csr):
-    """Build the per-shard arena segment specs of one run.
-
-    The arena is laid out as one *segment group per shard*: the shard's
-    double-banked send mask/word slices, its double-banked packed boundary
-    value arrays (one slot per boundary arc, per payload field), and the
-    shard-local rows of every declared state vector.  Returns ``(specs,
-    state_bytes, exchange_bytes)`` where the byte lists (one entry per
-    shard) let callers assert that declared state is genuinely shard-local.
-    """
-    import numpy as np
-
-    specs = [("ctrl", (4,), "i8")]
-    state_bytes = []
-    exchange_bytes = []
-    for shard in plan:
-        s = shard.index
-        boundary = int(plan.boundary_out(s).shape[0])
-        xb = 0
-        for bank in (0, 1):
-            specs.append((f"mask:{s}:{bank}", (shard.num_arcs,), "?"))
-            specs.append((f"words:{s}:{bank}", (shard.num_arcs,), "i8"))
-            xb += shard.num_arcs * 9
-            for fname, dtype in schema.fields:
-                specs.append((f"bvalue:{s}:{fname}:{bank}", (boundary,), dtype))
-                xb += boundary * np.dtype(dtype).itemsize
-        sb = 0
-        for vec in state_schema:
-            specs.append((f"state:{s}:{vec.name}", vec.local_shape(shard), vec.dtype))
-            sb += vec.local_nbytes(shard)
-        state_bytes.append(sb)
-        exchange_bytes.append(xb)
-    return specs, state_bytes, exchange_bytes
-
 
 def _mp_context():
     """The multiprocessing context of the sharded tier.
 
-    Prefer fork on Linux: workers inherit the parent's numpy import and the
-    pool's synchronization primitives for free.  Elsewhere keep the platform
-    default (macOS documents fork as unsafe — Accelerate/Objective-C state
-    does not survive it); the spawn path works too, it just re-imports.
+    Prefer fork on Linux: workers inherit the parent's numpy import for
+    free.  Elsewhere keep the platform default (macOS documents fork as
+    unsafe — Accelerate/Objective-C state does not survive it); the spawn
+    path works too, it just re-imports.
     """
     import multiprocessing as mp
     import sys
@@ -917,11 +801,9 @@ class ShardPool:
     used to be paid on *every* ``run(engine="sharded")`` call.  A pool
     amortizes it: workers are started once (lazily, on first use), park on
     their job pipe between runs, and each subsequent run only ships a run
-    header: a pickled-once common blob (transport descriptor + graph
-    snapshot) plus a tiny per-shard kernel-slice suffix — the graph snapshot
-    itself is shipped once and cached worker-side until it changes.  Workers
-    are transport-agnostic: shared-memory and socket runs can alternate on
-    the same pool.
+    header: a pickled-once common blob (the parent's listener address +
+    graph snapshot) plus a tiny per-shard kernel-slice suffix — the graph
+    snapshot itself is shipped once and cached worker-side until it changes.
 
     Usage::
 
@@ -939,9 +821,9 @@ class ShardPool:
     * ``ensure(k)`` starts (or restarts) exactly ``k`` workers; a run with a
       different shard count restarts the pool, so reuse pays off for
       repeated runs at one count (the common benchmark/serving shape).
-    * a failed run (worker crash, timeout, oversized message) breaks the
-      shared barrier; the pool discards its workers and transparently
-      restarts them on the next run.
+    * a failed run (worker crash, timeout, oversized message) tears the
+      run's connections down; the pool discards its workers and
+      transparently restarts them on the next run.
     * ``close()`` (or the context manager, or interpreter exit via a
       ``weakref.finalize`` hook) shuts the workers down; workers are daemon
       processes, so even a hard parent exit cannot leak them.
@@ -954,8 +836,6 @@ class ShardPool:
             DEFAULT_BARRIER_TIMEOUT if barrier_timeout is None else barrier_timeout
         )
         self._workers: List[Any] = []  # mutated in place; shared with finalizer
-        self._barrier = None
-        self._errors = None
         self._closed = False
         self._busy = False  # a pool serves one sharded run at a time
         self._cached_graph = None  # (key, indexed) the current workers hold
@@ -978,8 +858,8 @@ class ShardPool:
     def ensure(self, num_workers: int) -> None:
         """Start (or restart) the pool so it holds ``num_workers`` workers.
 
-        A no-op when the pool already has exactly that many live workers and
-        an intact barrier — the reuse fast path.
+        A no-op when the pool already has exactly that many live workers —
+        the reuse fast path.
         """
         import weakref
 
@@ -990,33 +870,16 @@ class ShardPool:
                 "shard pool is already executing a run; a ShardPool serves "
                 "one sharded run at a time"
             )
-        if (
-            len(self._workers) == num_workers
-            and self._barrier is not None
-            and not self._barrier.broken
-            and all(proc.is_alive() for proc, _conn in self._workers)
+        if len(self._workers) == num_workers and all(
+            proc.is_alive() for proc, _conn in self._workers
         ):
             return
         self.discard()
         ctx = _mp_context()
-        # Start the shared-memory resource tracker *before* forking: workers
-        # must inherit the parent's tracker channel, otherwise each worker's
-        # arena attach would spawn a private tracker that reports the (by
-        # then unlinked) arena as leaked at worker exit.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - tracker API unavailable
-            pass
-        self._barrier = ctx.Barrier(num_workers + 1)
-        self._errors = ctx.Queue()
         for _ in range(num_workers):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
-                target=_pool_worker,
-                args=(child_conn, self._barrier, self._errors),
-                daemon=True,
+                target=_pool_worker, args=(child_conn,), daemon=True
             )
             proc.start()
             child_conn.close()
@@ -1039,8 +902,6 @@ class ShardPool:
         for proc, _conn in self._workers:
             proc.join(timeout=5)
         del self._workers[:]
-        self._barrier = None
-        self._errors = None
         self._busy = False
         self._cached_graph = None
 
@@ -1052,9 +913,32 @@ class ShardPool:
         if self._finalizer is not None:
             self._finalizer.detach()
         _close_pool_workers(self._workers)
-        self._barrier = None
-        self._errors = None
         self._cached_graph = None
+
+    def _worker_failure(self, timeout: float = 2.0) -> Optional[str]:
+        """The first failure a worker of this generation reported, if any.
+
+        A failing worker sends ``(shard_index, traceback)`` on its job pipe
+        before it exits; workers that died silently (SIGKILL, a torn-down
+        connection) just close the pipe.  Waits at most ``timeout``.
+        """
+        import time
+        from multiprocessing.connection import wait
+
+        pending = [conn for _proc, conn in self._workers]
+        deadline = time.monotonic() + timeout
+        while pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            for conn in wait(pending, remaining):
+                pending.remove(conn)
+                try:
+                    shard_index, tb = conn.recv()
+                except (EOFError, OSError):
+                    continue
+                return f"shard {shard_index} worker failed:\n{tb}"
+        return None
 
     def __enter__(self) -> "ShardPool":
         return self
@@ -1068,24 +952,23 @@ class ShardPool:
         return f"ShardPool({state}, runs={self.runs_dispatched})"
 
 
-def _pool_worker(conn, barrier, errors):
+def _pool_worker(conn):
     """Worker main loop: park on the job pipe, execute one run per job.
 
     Between runs the worker blocks on ``conn.recv()`` — the parked state of
     the persistent pool.  A job is ``(common_bytes, suffix_bytes)``: the
     common blob is pickled *once* per run and shared by all workers (the
-    transport descriptor, the graph cache key, the graph snapshot — shipped
-    as ``None`` when the worker already holds it from a previous job — the
-    cut points and the timeout), while the tiny per-shard suffix carries
-    only the shard index and that shard's slice of the kernel
+    parent's listener address, the graph cache key, the graph snapshot —
+    shipped as ``None`` when the worker already holds it from a previous
+    job — the cut points and the timeout), while the tiny per-shard suffix
+    carries only the shard index and that shard's slice of the kernel
     (:meth:`RoundKernel.slice_for_shard`).  The worker-side graph cache —
     the CSR arrays, their reverse-arc table, the :class:`ShardPlan` and its
     packed exchange tables — is rebuilt only when the graph or the cut
-    points change.  Any failure aborts the shared barrier (waking the
-    parent and, on the shared-memory transport, the sibling workers) and
-    ends this worker; a torn-down transport connection ends the worker
-    silently — the parent already knows.  The pool restarts workers on the
-    next run.
+    points change.  Any failure is reported back on the job pipe and ends
+    this worker (its closed connections wake the parent and the sibling
+    workers); a torn-down connection ends the worker silently — the parent
+    already knows.  The pool restarts workers on the next run.
     """
     import pickle
 
@@ -1102,7 +985,7 @@ def _pool_worker(conn, barrier, errors):
         common, suffix = job
         shard_index = None
         try:
-            (descriptor, graph_key, indexed, node_starts, timeout,
+            (endpoint, graph_key, indexed, node_starts, timeout,
              want_census) = pickle.loads(common)
             shard_index, kernel = pickle.loads(suffix)
             if indexed is not None:
@@ -1116,23 +999,16 @@ def _pool_worker(conn, barrier, errors):
                 plan = ShardPlan(entry["indexed"].to_arrays(), node_starts)
                 entry["plan"] = plan
             _shard_worker_run(
-                descriptor, plan, kernel, shard_index, barrier, timeout,
-                want_census,
+                endpoint, plan, kernel, shard_index, timeout, want_census
             )
-        except threading.BrokenBarrierError:
-            break  # parent or a sibling failed; the pool will restart us
         except TransportBrokenError:
             break  # the parent (or a dead sibling) tore the wire down; it
-            # detects the failure through its own end — no barrier abort
+            # detects the failure through its own end
         except BaseException:  # noqa: BLE001 - forward any failure to the parent
             import traceback
 
             try:
-                errors.put((shard_index, traceback.format_exc()))
-            except Exception:
-                pass
-            try:
-                barrier.abort()
+                conn.send((shard_index, traceback.format_exc()))
             except Exception:
                 pass
             break
@@ -1142,50 +1018,56 @@ def _pool_worker(conn, barrier, errors):
         pass
 
 
-def _shard_worker_run(descriptor, plan, kernel, shard_index, barrier, timeout,
+def _shard_worker_run(endpoint, plan, kernel, shard_index, timeout,
                       want_census):
     """One shard's lockstep execution of a single run (inside a pool worker).
 
-    Round phases, whatever the transport:
+    Round phases:
 
     * **publish** — run ``kernel.round`` over the shard's local state rows
-      and hand the send mask/word slices plus the *packed boundary* payload
-      values to the transport session (arena bank write, or pub/peer
-      frames);
+      and send the sent slots and words to the parent (a ``pub`` frame) and
+      the *packed boundary* payload values to each peer shard;
     * **verdict** — the parent accounts the published round and answers
-      RUN/STOP (control slot + barrier, or a 1-byte verdict frame);
+      RUN/STOP (a 1-byte verdict frame);
     * **gather** — read the shard's inbox through the plan's precomputed
       exchange tables: interior slots from the private kernel buffers,
-      foreign slots from the transport (peers' packed boundary arrays, or
-      one peer frame per connection).
+      foreign slots from one peer frame per connection.
 
-    The loop itself is transport-agnostic: ``descriptor`` is the picklable
-    worker-side factory shipped in the run header by the parent session
-    (see :mod:`repro.congest.transport`), and the session it connects
-    encapsulates arena banks or sockets entirely.
+    ``endpoint`` is the parent listener's ``(host, port)``, shipped in the
+    run header (see :mod:`repro.congest.transport`).
 
     State is **shard-local**: ``kernel.init(state, csr, shard)`` allocates
-    only this shard's rows, which the shared-memory session copies once
-    into the shard's arena segment and rebinds so every subsequent kernel
-    write lands in shared memory (the socket session keeps them private and
-    ships them once at STOP).  Peak declared-state memory per worker is
-    O((n + m) / num_shards + boundary), not O(n + m).
+    only this shard's rows — checked against the declared
+    :class:`~repro.congest.kernels.StateSchema` before the first publish —
+    which stay private to the worker and ship to the parent once, at STOP.
+    Peak declared-state memory per worker is O((n + m) / num_shards +
+    boundary), not O(n + m).
     """
-    session = descriptor.connect(
-        plan, shard_index, kernel, barrier, timeout, want_census
+    from repro.congest.transport import _WorkerSession
+
+    session = _WorkerSession(
+        endpoint, plan, shard_index, kernel, timeout, want_census
     )
     try:
         csr = plan.csr
         shard = plan.shard(shard_index)
         state: Dict[str, Any] = {}
         sends = kernel.init(state, csr, shard)
-        session.adopt_state(state)
+        for vec in kernel.state_schema(csr):
+            local = state.get(vec.name)
+            shape = None if local is None else tuple(local.shape)
+            if shape != tuple(vec.local_shape(shard)):
+                raise SimulationError(
+                    f"kernel {type(kernel).__name__} allocated state vector "
+                    f"{vec.name!r} with shape {shape}; the shard-local "
+                    f"contract requires {tuple(vec.local_shape(shard))} "
+                    f"(shard {shard_index})"
+                )
         session.publish(sends, state)
         prev = sends
         while session.wait_verdict():
             inbox, senders = session.gather(prev)
             sends = kernel.round(state, inbox, senders, csr, shard)
-            session.check_state(state)
             session.publish(sends, state)
             prev = sends
         session.finish(state)
@@ -1203,7 +1085,6 @@ def run_sharded(
     plan=None,
     barrier_timeout: Optional[float] = None,
     pool: Optional[ShardPool] = None,
-    transport=None,
 ):
     """Execute a schema-declared kernel across shard worker processes.
 
@@ -1211,19 +1092,16 @@ def run_sharded(
     :class:`~repro.graphs.sharding.ShardPlan` (``plan`` overrides
     ``num_shards``; the default is an arc-balanced plan over
     :func:`default_num_shards` workers), and one worker per shard runs
-    :func:`_shard_worker_run`'s publish → verdict → gather lockstep loop
-    over the boundary-exchange ``transport`` (``None``/``"shm"`` for the
-    default shared-memory arena, ``"socket"`` for localhost TCP, or a
-    :class:`~repro.congest.transport.Transport` instance — see that module
-    for the wire format and the when-to-use guidance).  Workers come from
-    ``pool`` (a :class:`ShardPool`, reused across runs — transports can be
-    mixed freely on one pool) or from an ephemeral pool created and closed
-    inside this call.  Jobs reach the parked workers over a pipe, so the
-    kernel must be picklable (a module-level class — the same requirement
-    spawn-based platforms always had).  The run header is split into a
-    pickled-once common blob shared by all workers (transport descriptor +
-    graph snapshot; only the snapshot is cached worker-side) and a tiny
-    per-shard suffix carrying that shard's
+    :func:`_shard_worker_run`'s publish → verdict → gather lockstep loop,
+    exchanging frames over loopback TCP (see
+    :mod:`repro.congest.transport` for the wire format).  Workers come from
+    ``pool`` (a :class:`ShardPool`, reused across runs) or from an ephemeral
+    pool created and closed inside this call.  Jobs reach the parked
+    workers over a pipe, so the kernel must be picklable (a module-level
+    class — the same requirement spawn-based platforms always had).  The
+    run header is split into a pickled-once common blob shared by all
+    workers (listener address + graph snapshot; only the snapshot is cached
+    worker-side) and a tiny per-shard suffix carrying that shard's
     :meth:`~repro.congest.kernels.RoundKernel.slice_for_shard` view of the
     kernel — so keep constructor payloads small, slice them per shard, or
     trim parent-only attributes via ``__getstate__`` the way
@@ -1231,26 +1109,23 @@ def run_sharded(
 
     A ``num_shards`` request exceeding the node count (or below 1) is
     clamped with a single :class:`EngineFallbackWarning` — a plan can never
-    contain an empty shard.  A socket transport whose listener cannot bind
-    degrades to shared memory, also with a single warning.
+    contain an empty shard.  A listener that cannot bind falls back to
+    :func:`run_vectorized`, also with a single warning naming the error.
 
     The parent never touches kernel state: it performs the
     accounting/termination logic of :func:`run_vectorized` on the published
     batches between verdicts (identical expressions, so message/word/
     bandwidth totals, ``ConvergenceError``/``BandwidthExceededError``
     behaviour and the :class:`SimulationTrace` are bit-for-bit equal to the
-    single-process tiers *under either transport*), then merges outputs
-    from the collected state.  The returned result additionally carries
-    ``shard_stats`` (per-shard declared state bytes, arena bytes, boundary
-    words published, run-header bytes, and — on the socket transport —
+    single-process tiers), then merges outputs from the collected state.
+    The returned result additionally carries ``shard_stats`` (per-shard
+    declared state bytes, boundary words published, run-header bytes and
     per-peer bytes on the wire).
     """
     import warnings
 
-    from repro.congest.transport import resolve_transport
+    from repro.congest.transport import TransportSetupError, _ParentSession
     from repro.graphs.sharding import ShardPlan
-
-    transport = resolve_transport(transport)
 
     csr = network.indexed.to_arrays()
     n = csr.num_nodes
@@ -1286,36 +1161,48 @@ def run_sharded(
         barrier_timeout = (
             pool.barrier_timeout if pool is not None else DEFAULT_BARRIER_TIMEOUT
         )
+    # Bind the listener before any worker is started or committed: a setup
+    # failure here leaves the pool untouched, and the run falls back to the
+    # in-process array tier (the ladder's rule for an unavailable tier).
+    try:
+        session = _ParentSession(
+            plan, kernel.schema, state_schema, csr, barrier_timeout
+        )
+    except TransportSetupError as exc:
+        warnings.warn(
+            fallback_message("sharded", "vectorized", str(exc)),
+            EngineFallbackWarning,
+            stacklevel=3,
+        )
+        return run_vectorized(
+            network, kernel, max_rounds=max_rounds,
+            stop_when_quiet=stop_when_quiet, trace=trace,
+        )
     own_pool = pool is None
     if own_pool:
         pool = ShardPool(barrier_timeout=barrier_timeout)
     try:
         return _run_sharded_on_pool(
             network, kernel, plan, state_schema, csr, max_rounds,
-            stop_when_quiet, trace, barrier_timeout, pool, transport,
+            stop_when_quiet, trace, barrier_timeout, pool, session,
         )
     finally:
+        session.close()
         if own_pool:
             pool.close()
 
 
 def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
                          stop_when_quiet, trace, barrier_timeout, pool,
-                         transport):
+                         session):
     """The parent side of one sharded run, on an ensured :class:`ShardPool`."""
     import pickle
-    import queue as queue_mod
-    import warnings
 
     import numpy as np
 
     from repro.congest.kernels import PackedInbox
     from repro.congest.network import SimulationResult
-    from repro.congest.transport import (
-        SharedMemoryTransport,
-        TransportBrokenError,
-        TransportSetupError,
-    )
+    from repro.congest.transport import TransportBrokenError
     from repro.graphs.sharding import Shard
 
     n = csr.num_nodes
@@ -1327,37 +1214,8 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
     want_census = trace is not None
 
     pool.ensure(k)
-    barrier = pool._barrier
-    errors = pool._errors
-
-    # Create the transport session before marking the pool busy: a setup
-    # failure here (e.g. ENOSPC on /dev/shm, an unbindable socket listener)
-    # must leave the pool reusable.  A socket transport that cannot set its
-    # listener up degrades to shared memory with one EngineFallbackWarning —
-    # the run still executes engine='sharded', just on the in-host flavour.
-    try:
-        session = transport.create_parent(
-            plan, schema, state_schema, csr,
-            timeout=barrier_timeout, want_census=want_census, barrier=barrier,
-        )
-    except TransportSetupError as exc:
-        fallback = SharedMemoryTransport()
-        warnings.warn(
-            fallback_message(
-                f"sharded[{transport.name}]", f"sharded[{fallback.name}]",
-                str(exc),
-            ),
-            EngineFallbackWarning,
-            stacklevel=3,
-        )
-        transport = fallback
-        session = transport.create_parent(
-            plan, schema, state_schema, csr,
-            timeout=barrier_timeout, want_census=want_census, barrier=barrier,
-        )
     pool._busy = True
     aborted = False
-    batch = None
     try:
         # Dispatch the run header, split into the pickled-once common blob
         # and a tiny per-shard suffix (shard index + that shard's
@@ -1372,7 +1230,7 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
         cached = pool._cached_graph
         send_graph = cached is None or cached[0] != graph_key
         common = pickle.dumps(
-            (session.descriptor(), graph_key,
+            (session.endpoint(), graph_key,
              network.indexed if send_graph else None,
              node_starts, barrier_timeout, want_census),
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -1388,7 +1246,7 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
             conn.send((common, suffixes[s]))
         pool._cached_graph = (graph_key, network.indexed)
         pool.runs_dispatched += 1
-        session.begin()
+        session.begin([proc.sentinel for proc, _conn in pool._workers])
 
         has_halted = any(v.name == "halted" for v in state_schema)
         # Reusable whole-graph halted buffer for the traced census (refilled
@@ -1515,9 +1373,9 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
         else:
             converged = False
 
-        # Workers read STOP and park again (over sockets they first flush
-        # their final state frames, which collect_states drains — so the
-        # pool stays warm on either transport, also on ConvergenceError).
+        # Workers read STOP, flush their final state frames (which
+        # collect_states drains) and park again — so the pool stays warm,
+        # also on ConvergenceError.
         session.send_verdict(stop=True)
         collected = session.collect_states()
         if not converged:
@@ -1530,10 +1388,7 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
         shard_stats = {
             "num_shards": k,
             "plan": plan.describe(),
-            "transport": transport.name,
             "declared_state_bytes": list(session.state_bytes),
-            "exchange_bytes": list(session.exchange_bytes),
-            "arena_bytes": int(session.arena_bytes),
             "boundary_messages_published": int(boundary_messages_published),
             "boundary_words_published": int(boundary_words_published),
             "run_header_bytes": {
@@ -1556,15 +1411,14 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
             trace=trace,
             shard_stats=shard_stats,
         )
-    except (threading.BrokenBarrierError, TransportBrokenError) as exc:
+    except TransportBrokenError as exc:
         aborted = True
-        detail = "worker process failed or timed out"
-        try:
-            shard_index, tb = errors.get(timeout=2.0)
-            detail = f"shard {shard_index} worker failed:\n{tb}"
-        except (queue_mod.Empty, OSError, ValueError):
-            if isinstance(exc, TransportBrokenError):
-                detail = f"worker process failed or timed out ({exc})"
+        # Closing our ends wakes every worker still blocked on a frame, so
+        # the survivors exit and the failure report (if any) arrives fast.
+        session.close()
+        detail = pool._worker_failure() or (
+            f"worker process failed or timed out ({exc})"
+        )
         raise SimulationError(f"sharded execution aborted: {detail}") from None
     except ConvergenceError:
         # Raised after the clean STOP handshake: every worker already parked,
@@ -1572,17 +1426,13 @@ def _run_sharded_on_pool(network, kernel, plan, state_schema, csr, max_rounds,
         raise
     except BaseException:
         # Includes KeyboardInterrupt/SystemExit: the workers are mid-run, so
-        # the generation must be discarded — reusing its barrier would
-        # desynchronize the next run's phases.
+        # the generation must be discarded — reusing it would desynchronize
+        # the next run's phases.
         aborted = True
         raise
     finally:
         if aborted:
-            # Wake any worker still blocked on the transport (barrier abort
-            # or connection teardown), then drop the whole worker
-            # generation — the pool restarts lazily next run.
-            session.abort()
+            # Drop the whole worker generation — the pool restarts lazily
+            # next run.
             pool.discard()
         pool._busy = False
-        batch = None  # noqa: F841 - drop live batch views before close
-        session.close()

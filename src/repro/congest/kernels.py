@@ -33,9 +33,8 @@ translate the global node/arc indices of the CSR snapshot to state rows by
 subtracting ``shard.node_lo``/``shard.arc_lo``; single-process tiers pass
 the degenerate whole-graph shard (both offsets 0), making the vectorized
 execution literally the one-shard special case of the sharded one — the
-translation is the identity there.  The sharded tier places each shard's
-rows in its own shared-memory arena segment and merges them back
-bit-for-bit.
+translation is the identity there.  The sharded tier keeps each shard's
+rows private to its worker process and merges them back bit-for-bit.
 
 Kernels must be *bit-for-bit* equivalent to the scalar protocol they
 accelerate: identical rounds, outputs, ``messages_sent``, ``words_sent``,
@@ -122,7 +121,7 @@ class StateVector:
         return (n,) if self.cols is None else (n, self.cols)
 
     def local_nbytes(self, shard: Shard) -> int:
-        """Bytes of a shard-local allocation (the arena segment size)."""
+        """Bytes of a shard-local allocation (one worker's share)."""
         import numpy as np
 
         size = 1
@@ -255,8 +254,9 @@ class PackedInbox:
         the restriction is one ``searchsorted`` slice.  This is the sharded
         delivery *contract* — a worker's inbox equals this view of the
         global round's inbox (asserted in ``tests/test_sharding.py``); the
-        engine itself assembles each worker's inbox directly from the
-        shared arena through the plan's ``rev``-gather tables.
+        engine itself assembles each worker's inbox directly from its own
+        sends and its peers' frames through the plan's ``rev``-gather
+        tables.
         """
         import numpy as np
 

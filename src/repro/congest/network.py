@@ -19,9 +19,9 @@ Five interchangeable execution tiers are provided (see
 * ``engine="sharded"`` — the multiprocess tier for kernels that declare
   their state via a :class:`~repro.congest.kernels.StateSchema`: the node
   space is partitioned by a :class:`~repro.graphs.sharding.ShardPlan`, each
-  shard's state rows live in that shard's segment of a
-  ``multiprocessing.shared_memory`` arena, and one worker per shard runs
-  lockstep rounds exchanging only *packed* boundary payload slots
+  shard's state rows stay private to that shard's worker process, and one
+  worker per shard runs lockstep rounds exchanging only *packed* boundary
+  payload slots as frames over loopback TCP
   (``num_shards`` controls the worker count; a persistent
   :class:`~repro.congest.engine.ShardPool` — attached to the network or
   passed per run — reuses the workers across runs).
@@ -52,6 +52,7 @@ still available as ``max_message_words``).
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
@@ -114,14 +115,12 @@ class SimulationResult:
         if any, holding round-by-round statistics.
     shard_stats:
         For sharded runs only: the memory/exchange accounting of the run —
-        the ``transport`` that carried it (``"shm"``/``"socket"``),
-        per-shard declared-state and exchange-segment bytes, total arena
-        bytes (0 on the socket transport), boundary messages/words
-        published, the split run-header sizes (``run_header_bytes`` with the
+        per-shard declared-state bytes, boundary messages/words published,
+        the split run-header sizes (``run_header_bytes`` with the
         pickled-once ``common`` blob and the ``per_shard`` kernel-slice
-        suffixes), worker PIDs, and — on the socket transport — the bytes
-        that actually crossed the wire (``wire_bytes_by_peer`` keyed
-        ``"s->t"``, ``wire_control_bytes``, ``wire_bytes_total``).  ``None``
+        suffixes), worker PIDs, and the bytes that actually crossed the
+        wire (``wire_bytes_by_peer`` keyed ``"s->t"``,
+        ``wire_control_bytes``, ``wire_bytes_total``).  ``None``
         on the single-process tiers.  Excluded from tier equivalence — it
         describes the execution substrate, not the protocol.
     virtual_time:
@@ -266,7 +265,6 @@ class CongestNetwork:
         barrier_timeout: Optional[float] = None,
         shard_pool: Optional[ShardPool] = None,
         delay_model=None,
-        transport=None,
         fault_schedule=None,
         scheduler: Optional[str] = None,
         accel: Optional[str] = None,
@@ -313,19 +311,23 @@ class CongestNetwork:
             attached/passed pool's size, else one per CPU, capped; see
             :func:`~repro.congest.engine.default_num_shards`).  Requests
             exceeding the node count are clamped with a single
-            :class:`~repro.congest.engine.EngineFallbackWarning`.  Results
-            are identical for every shard count.
+            :class:`~repro.congest.engine.EngineFallbackWarning`; an int
+            below 1 (or a non-int) raises
+            :class:`~repro.errors.SimulationError`.  Results are identical
+            for every shard count.  Only meaningful with
+            ``engine="sharded"``.
         barrier_timeout:
-            Per-phase synchronization timeout of the ``sharded`` tier in
-            seconds (default
-            :data:`~repro.congest.engine.DEFAULT_BARRIER_TIMEOUT`).  Bounds
-            one round phase, not the whole run; raise it for instances whose
-            individual rounds legitimately exceed it.
+            Per-frame timeout of the ``sharded`` tier in seconds, > 0
+            (default :data:`~repro.congest.engine.DEFAULT_BARRIER_TIMEOUT`).
+            Bounds the wait for one frame — one round's work — not the whole
+            run; raise it for instances whose individual rounds
+            legitimately exceed it.  Only meaningful with
+            ``engine="sharded"``.
         shard_pool:
             :class:`~repro.congest.engine.ShardPool` to run the ``sharded``
             tier on (overrides the network's attached pool for this call).
             The pool's workers are reused across runs; ownership stays with
-            the caller.
+            the caller.  Only meaningful with ``engine="sharded"``.
         delay_model:
             :class:`~repro.congest.scheduler.DelayModel` assigning every
             (arc, message) envelope its delivery time on the ``async`` tier
@@ -333,19 +335,6 @@ class CongestNetwork:
             meaningful with ``engine="async"``; a non-picklable model (whose
             schedule could not be snapshotted for reproduction) falls back
             to ``fast`` with a single
-            :class:`~repro.congest.engine.EngineFallbackWarning`.
-        transport:
-            Boundary-exchange transport of the ``sharded`` tier:
-            ``None``/``"shm"`` (the default shared-memory arena),
-            ``"socket"`` (localhost TCP — workers hold no shared memory and
-            ``shard_stats`` reports per-peer bytes on the wire), or a
-            :class:`~repro.congest.transport.Transport` instance.  Only
-            meaningful with ``engine="sharded"``; results are bit-for-bit
-            identical under either transport.  If the sharded tier itself
-            falls back down the ladder the transport choice is moot (the
-            fallback warning already names the tier that ran); a socket
-            listener that cannot bind degrades to the shared-memory
-            transport with a single
             :class:`~repro.congest.engine.EngineFallbackWarning`.
         fault_schedule:
             :class:`~repro.congest.faults.FaultSchedule` (explicit timed
@@ -381,28 +370,41 @@ class CongestNetwork:
             from repro import _accel
 
             _accel.select_backend(accel)
-        if scheduler is not None and chosen != "async":
+        for name, value, tier in (
+            ("scheduler", scheduler, "async"),
+            ("delay_model", delay_model, "async"),
+            ("num_shards", num_shards, "sharded"),
+            ("shard_pool", shard_pool, "sharded"),
+            ("barrier_timeout", barrier_timeout, "sharded"),
+        ):
+            if value is not None and chosen != tier:
+                raise SimulationError(
+                    f"{name} is only meaningful with engine='{tier}' "
+                    f"(requested engine {chosen!r})"
+                )
+        if num_shards is not None and (
+            isinstance(num_shards, bool)
+            or not isinstance(num_shards, numbers.Integral)
+            or num_shards < 1
+        ):
             raise SimulationError(
-                f"scheduler is only meaningful with engine='async' "
-                f"(requested engine {chosen!r})"
+                f"num_shards must be an int >= 1, got {num_shards!r}"
+            )
+        if barrier_timeout is not None and (
+            isinstance(barrier_timeout, bool)
+            or not isinstance(barrier_timeout, numbers.Real)
+            or not barrier_timeout > 0
+        ):
+            raise SimulationError(
+                f"barrier_timeout must be a number > 0, got {barrier_timeout!r}"
             )
         if kernel is None:
             kernel = getattr(algorithm_factory, "round_kernel", None)
-        if delay_model is not None and chosen != "async":
-            raise SimulationError(
-                f"delay_model is only meaningful with engine='async' "
-                f"(requested engine {chosen!r})"
-            )
         if fault_schedule is not None and chosen != "async":
             raise SimulationError(
                 f"fault_schedule requires engine='async' (requested engine "
                 f"{chosen!r}): the lockstep synchronous tiers cannot honour "
                 "mid-round crash/recovery timing"
-            )
-        if transport is not None and chosen != "sharded":
-            raise SimulationError(
-                f"transport is only meaningful with engine='sharded' "
-                f"(requested engine {chosen!r})"
             )
         if chosen == "async":
             from repro.congest.scheduler import async_incompatibility, run_async
@@ -450,12 +452,11 @@ class CongestNetwork:
                     trace=trace,
                     barrier_timeout=barrier_timeout,
                     pool=shard_pool if shard_pool is not None else self.shard_pool,
-                    transport=transport,
                 )
             if kernel is None:
                 reason, chosen = "the protocol provides no RoundKernel", "fast"
             elif not sharded_available():
-                reason = "numpy/shared-memory support is unavailable"
+                reason = "numpy is unavailable"
                 chosen = "vectorized" if vectorized_available() else "fast"
             else:
                 reason = f"kernel {type(kernel).__name__} declares no StateSchema"

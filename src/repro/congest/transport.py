@@ -1,45 +1,32 @@
-"""Pluggable boundary-exchange transports of the sharded CONGEST tier.
+"""The boundary exchange of the sharded CONGEST tier, over localhost TCP.
 
 :func:`repro.congest.engine.run_sharded` partitions the node space with a
 :class:`~repro.graphs.sharding.ShardPlan` and runs one worker process per
 shard in a publish → verdict → gather lockstep.  Everything the parent and
-the workers exchange per round — the published send mask/word slices, the
-packed ``boundary_out`` payload values, the RUN/STOP verdict and the final
-state merge — flows through the :class:`Transport` chosen for the run, so
-the engine itself never touches an arena or a socket:
+the workers exchange per round — the published send slots and words, the
+packed boundary payload values, the RUN/STOP verdict and the final state
+merge — moves as length-prefixed frames (a ``!I`` byte-count prefix) over
+sockets bound to loopback; workers hold no shared memory and keep their
+state rows private.
 
-* :class:`SharedMemoryTransport` (default, ``transport="shm"``) — the
-  in-host flavour.  One ``multiprocessing.shared_memory`` arena holds the
-  double-banked mask/word/boundary-value segments and the shard-local state
-  rows; rounds are paced by the pool barrier (two waits per round) and the
-  bank flip keeps publish and gather race-free.  Zero copies cross process
-  boundaries beyond the arena writes themselves.
-
-* :class:`SocketTransport` (``transport="socket"``) — the wire flavour.
-  Workers hold **no** shared memory: each keeps its state private and talks
-  over localhost TCP with length-prefixed frames (a ``!I`` byte-count
-  prefix).  Per worker there is one *control* connection to the parent —
-  a pickled ``("hello", shard, port)`` handshake answered by the parent's
+* Per worker there is one *control* connection to the parent: a pickled
+  ``("hello", shard, port)`` handshake answered by the parent's
   ``("ports", {shard: port})`` broadcast, then per round one pickled
   ``("pub", shard, sent_idx, words, halted_count, halted_census)`` frame
-  replacing the publish barrier and a raw 1-byte ``b"R"``/``b"S"`` verdict
-  frame replacing the verdict barrier, and finally one pickled
+  and a raw 1-byte ``b"R"``/``b"S"`` verdict frame, and finally one pickled
   ``("fin", shard, state_arrays, peer_bytes)`` frame carrying the declared
-  state rows for the parent-side merge.  Per :class:`PeerExchange` pair
-  there is one raw peer connection (the lower-index shard dials the
-  higher's ephemeral listener) carrying ``packbits(mask[src_local])``
-  followed by the masked payload values, field by field — O(boundary)
-  bytes per round, no indices on the wire, because the sender's
-  ``ShardPlan.peer_links`` table is parallel to the receiver's
-  ``PeerExchange``, which makes the byte stream bit-for-bit identical to
-  the shared-memory gather.
+  state rows for the parent-side merge.
+* Per :class:`~repro.graphs.sharding.PeerExchange` pair there is one raw
+  peer connection (the lower-index shard dials the higher's ephemeral
+  listener) carrying ``packbits(mask[src_local])`` followed by the masked
+  payload values, field by field — O(boundary) bytes per round, no indices
+  on the wire, because the sender's ``ShardPlan.peer_links`` table is
+  parallel to the receiver's ``PeerExchange``.
 
-Both transports drive the same worker loop and the same parent accounting,
-so all five engine tiers stay bit-for-bit equivalent under either.  Use the
-shared-memory flavour for speed on one host; use the socket flavour to
-measure boundary traffic as a real network cost (``shard_stats`` gains
-``wire_bytes_by_peer``/``wire_bytes_total``) or as the stepping stone to
-true multi-host runs.
+Every frame is counted, so ``shard_stats`` reports the bytes that actually
+crossed the wire (``wire_bytes_by_peer``, ``wire_control_bytes``,
+``wire_bytes_total``).  The frame helpers are shared with the label query
+server (:mod:`repro.serving`).
 """
 
 from __future__ import annotations
@@ -51,14 +38,7 @@ import time
 from typing import Any, Dict, Optional
 
 from repro import _accel
-from repro.congest.engine import (
-    _CMD_RUN,
-    _CMD_STOP,
-    _arena_layout,
-    _arena_views,
-    _attach_arena,
-    _sharded_specs,
-)
+from repro.congest.kernels import PackedInbox
 
 
 def _accel_boundary_hits():
@@ -69,17 +49,12 @@ def _accel_boundary_hits():
     needs to rebind the dispatch table, not reload this module.
     """
     return _accel.op("boundary_hits")
-from repro.congest.kernels import PackedInbox
-from repro.errors import SimulationError
 
-__all__ = [
-    "Transport",
-    "SharedMemoryTransport",
-    "SocketTransport",
-    "TransportBrokenError",
-    "TransportSetupError",
-    "resolve_transport",
-]
+
+__all__ = ["TransportBrokenError", "TransportSetupError"]
+
+#: The interface the parent listener and every worker listener bind to.
+_LOOPBACK = "127.0.0.1"
 
 
 class TransportBrokenError(RuntimeError):
@@ -90,31 +65,8 @@ class TransportSetupError(RuntimeError):
     """The transport could not be set up at all (e.g. an unbindable listener).
 
     Raised before any worker is committed to the run, so the engine can fall
-    back to :class:`SharedMemoryTransport` with one ``EngineFallbackWarning``.
+    back to ``engine="vectorized"`` with one ``EngineFallbackWarning``.
     """
-
-
-def resolve_transport(transport) -> "Transport":
-    """Resolve a ``transport=`` argument to a :class:`Transport` instance.
-
-    ``None``/``"shm"``/``"shared_memory"`` → :class:`SharedMemoryTransport`;
-    ``"socket"``/``"tcp"`` → :class:`SocketTransport`; an existing
-    :class:`Transport` passes through unchanged.
-    """
-    if transport is None:
-        return SharedMemoryTransport()
-    if isinstance(transport, Transport):
-        return transport
-    if isinstance(transport, str):
-        key = transport.lower().replace("-", "_")
-        if key in ("shm", "shared_memory"):
-            return SharedMemoryTransport()
-        if key in ("socket", "tcp"):
-            return SocketTransport()
-    raise SimulationError(
-        f"unknown shard transport {transport!r}; expected 'shm', 'socket', "
-        "or a Transport instance"
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -122,7 +74,6 @@ def resolve_transport(transport) -> "Transport":
 # --------------------------------------------------------------------------- #
 
 _LEN = struct.Struct("!I")
-_UNSET = object()
 
 
 def _send_frame(sock, payload: bytes) -> int:
@@ -194,440 +145,52 @@ def _dial_peer(host: str, port: int, timeout: float, what: str):
             ) from None
 
 
+def _close_quietly(sock) -> None:
+    if sock is not None:
+        try:
+            sock.close()
+        except OSError:
+            pass
+
+
 # --------------------------------------------------------------------------- #
-# Transport interface
+# Worker side
 # --------------------------------------------------------------------------- #
 
-class Transport:
-    """A strategy for moving one sharded run's boundary exchange.
+class _WorkerSession:
+    """Worker side of the exchange: control frames + one conn per peer.
 
-    ``create_parent`` returns the parent-side session (see
-    :class:`_ShmParentSession` for the full protocol: ``descriptor`` /
-    ``begin`` / ``wait_published`` / ``send_verdict`` / ``collect_states`` /
-    ``wire_stats`` / ``abort`` / ``close``).  The session's ``descriptor()``
-    is pickled into the run header; inside each worker its ``connect``
-    builds the worker-side session (``adopt_state`` / ``publish`` /
-    ``wait_verdict`` / ``gather`` / ``check_state`` / ``finish`` /
-    ``close``) that :func:`repro.congest.engine._shard_worker_run` drives.
+    ``endpoint`` is the parent listener's ``(host, port)``, shipped in the
+    run header.  The interior gather (slots fed by this shard's own
+    previous sends) never crosses the wire: it reads the worker-private
+    ``prev`` sends object.
     """
 
-    name = "?"
-
-    def create_parent(self, plan, schema, state_schema, csr, *, timeout,
-                      want_census, barrier=None):
-        raise NotImplementedError
-
-
-# --------------------------------------------------------------------------- #
-# Worker-side common machinery
-# --------------------------------------------------------------------------- #
-
-class _WorkerSessionBase:
-    """Shared worker-session state: exchange tables and the gather buffers.
-
-    The interior gather (slots fed by this shard's own previous sends) never
-    crosses a transport — both flavours read it from the worker-private
-    ``prev`` sends object, exactly as the original arena worker did.
-    """
-
-    def __init__(self, plan, shard_index, kernel, want_census) -> None:
+    def __init__(self, endpoint, plan, shard_index, kernel, timeout,
+                 want_census) -> None:
         import numpy as np
 
         self._np = np
-        self._plan = plan
+        self._shard_index = s = shard_index
+        self._exchange = plan.exchange(s)
         self._csr = plan.csr
-        self._shard_index = shard_index
-        self._shard = plan.shard(shard_index)
-        self._exchange = plan.exchange(shard_index)
-        self._kernel = kernel
+        shard = plan.shard(s)
+        self._alo = shard.arc_lo
         self._state_schema = kernel.state_schema(self._csr)
         self._field_names = [name for name, _ in kernel.schema.fields]
         self._field_dtypes = dict(kernel.schema.fields)
-        self._size_words = kernel.schema.size_words
-        self._alo = self._shard.arc_lo
         self._want_census = want_census
         self._has_halted = any(v.name == "halted" for v in self._state_schema)
         self._gather_buf = {
-            f: np.empty(self._shard.num_arcs, dtype=np.dtype(d))
+            f: np.empty(shard.num_arcs, dtype=np.dtype(d))
             for f, d in kernel.schema.fields
         }
-        self._hitbuf = np.zeros(self._shard.num_arcs, dtype=bool)
+        self._hitbuf = np.zeros(shard.num_arcs, dtype=bool)
         self._empty_idx = np.empty(0, dtype=np.int64)
-
-    # Hooks a flavour may leave as no-ops ---------------------------------- #
-    def adopt_state(self, state) -> None:
-        return
-
-    def check_state(self, state) -> None:
-        return
-
-    def finish(self, state) -> None:
-        return
-
-    def close(self) -> None:
-        return
-
-    # Gather helpers shared by both flavours ------------------------------- #
-    def _gather_interior(self, prev) -> None:
-        hitbuf = self._hitbuf
-        hitbuf[:] = False
-        exchange = self._exchange
-        if prev is not None and exchange.int_src.shape[0]:
-            # The masked scatter runs on the active _accel backend (plain
-            # numpy, or a fused numba loop): collect the receiver-side slots
-            # fed by this shard's own sends and mark them hit.
-            slots, src = _accel_boundary_hits()(
-                prev.mask, exchange.int_src, exchange.int_slots,
-                exchange.int_src, hitbuf,
-            )
-            for f in self._field_names:
-                self._gather_buf[f][slots] = prev.values[f][src]
-
-    def _finish_gather(self):
-        np = self._np
-        hit = np.flatnonzero(self._hitbuf)
-        arcs = self._alo + hit
-        inbox = PackedInbox(
-            arcs, {f: self._gather_buf[f][hit] for f in self._field_names}
-        )
-        return inbox, self._csr.indices[arcs]
-
-
-# --------------------------------------------------------------------------- #
-# Shared-memory flavour
-# --------------------------------------------------------------------------- #
-
-class _ShmWorkerFactory:
-    """Picklable worker-side entry point of the shared-memory transport."""
-
-    name = "shm"
-
-    def __init__(self, shm_name, layout) -> None:
-        self.shm_name = shm_name
-        self.layout = layout
-
-    def connect(self, plan, shard_index, kernel, barrier, timeout, want_census):
-        return _ShmWorkerSession(
-            self, plan, shard_index, kernel, barrier, timeout, want_census
-        )
-
-
-class _ShmWorkerSession(_WorkerSessionBase):
-    """Worker side of the arena exchange (the original two-barrier lockstep).
-
-    The banks alternate per publish (double buffering), which is what removes
-    the third barrier of the original design: a worker publishing round
-    ``r+1`` writes the opposite bank from the one its peers are still
-    gathering round ``r`` from, so publish and gather never race.
-    """
-
-    def __init__(self, factory, plan, shard_index, kernel, barrier, timeout,
-                 want_census) -> None:
-        super().__init__(plan, shard_index, kernel, want_census)
-        self._barrier = barrier
-        self._timeout = timeout
-        self._shm = _attach_arena(factory.shm_name)
-        views = _arena_views(self._shm.buf, factory.layout)
-        self._views = views
-        s = shard_index
-        fns = self._field_names
-        self._ctrl = views["ctrl"]
-        self._my_mask = [views[f"mask:{s}:{b}"] for b in (0, 1)]
-        self._my_words = [views[f"words:{s}:{b}"] for b in (0, 1)]
-        self._my_bval = [
-            {f: views[f"bvalue:{s}:{f}:{b}"] for f in fns} for b in (0, 1)
-        ]
-        self._peer_mask = {
-            p.peer: [views[f"mask:{p.peer}:{b}"] for b in (0, 1)]
-            for p in self._exchange.peers
-        }
-        self._peer_bval = {
-            p.peer: [
-                {f: views[f"bvalue:{p.peer}:{f}:{b}"] for f in fns}
-                for b in (0, 1)
-            ]
-            for p in self._exchange.peers
-        }
-        self._bout_local = plan.boundary_out(s) - self._alo
-        self._state_views: Dict[str, Any] = {}
-        self._bank = 0
-        self._published = False
-
-    def adopt_state(self, state) -> None:
-        # Copy this shard's rows into the arena segments and rebind so every
-        # subsequent kernel write lands in shared memory.
-        for vec in self._state_schema:
-            seg = self._views[f"state:{self._shard_index}:{vec.name}"]
-            local = state[vec.name]
-            if tuple(local.shape) != tuple(seg.shape):
-                raise SimulationError(
-                    f"kernel {type(self._kernel).__name__} allocated state "
-                    f"vector {vec.name!r} with shape {tuple(local.shape)}; "
-                    f"the shard-local contract requires {tuple(seg.shape)} "
-                    f"(shard {self._shard_index})"
-                )
-            seg[...] = local
-            state[vec.name] = seg
-            self._state_views[vec.name] = seg
-
-    def publish(self, sends, state) -> None:
-        if self._published:
-            self._bank ^= 1
-        else:
-            self._published = True
-        bank = self._bank
-        mask = self._my_mask[bank]
-        if sends is None:
-            mask[:] = False
-        else:
-            mask[:] = sends.mask
-            words = self._my_words[bank]
-            if sends.words is None:
-                words[:] = self._size_words
-            else:
-                words[:] = sends.words
-            if self._bout_local.shape[0]:
-                bvals = self._my_bval[bank]
-                for f in self._field_names:
-                    bvals[f][:] = sends.values[f][self._bout_local]
-        self._barrier.wait(self._timeout)
-
-    def wait_verdict(self) -> bool:
-        self._barrier.wait(self._timeout)
-        return self._ctrl[0] != _CMD_STOP
-
-    def gather(self, prev):
-        bank = self._bank
-        self._gather_interior(prev)
-        boundary_hits = _accel_boundary_hits()
-        for p in self._exchange.peers:
-            slots, packed = boundary_hits(
-                self._peer_mask[p.peer][bank], p.src_local, p.recv_slots,
-                p.src_packed, self._hitbuf,
-            )
-            if not slots.shape[0]:
-                continue
-            bvals = self._peer_bval[p.peer][bank]
-            for f in self._field_names:
-                self._gather_buf[f][slots] = bvals[f][packed]
-        return self._finish_gather()
-
-    def check_state(self, state) -> None:
-        # Declared vectors must be mutated in place: a rebind would silently
-        # detach this worker from the arena (the vectorized tier re-reads the
-        # dict, so the bug would not show there).
-        for vec in self._state_schema:
-            if state[vec.name] is not self._state_views[vec.name]:
-                raise SimulationError(
-                    f"kernel rebound declared state vector {vec.name!r} "
-                    "during round(); sharded kernels must write declared "
-                    "state in place"
-                )
-
-    def close(self) -> None:
-        self._views = None
-        self._ctrl = None
-        self._my_mask = self._my_words = self._my_bval = None
-        self._peer_mask = self._peer_bval = None
-        self._state_views = {}
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - state views still referenced
-            pass
-
-
-class _ShmPublishBatch:
-    """One published round of the arena, read bank-aware from live views."""
-
-    __slots__ = ("_sess", "_bank", "_hc")
-
-    def __init__(self, sess, bank) -> None:
-        self._sess = sess
-        self._bank = bank
-        self._hc = _UNSET
-
-    def parts(self):
-        sess = self._sess
-        np = sess._np
-        bank = self._bank
-        for s in range(sess._k):
-            idx = np.flatnonzero(sess._mask[s][bank])
-            if idx.shape[0]:
-                yield sess._arc_lo[s] + idx, sess._words[s][bank][idx]
-
-    @property
-    def halted_count(self) -> Optional[int]:
-        if self._hc is _UNSET:
-            sess = self._sess
-            self._hc = (
-                sum(int(hv.sum()) for hv in sess._halted)
-                if sess._halted is not None
-                else None
-            )
-        return self._hc
-
-    def fill_halted(self, out) -> None:
-        self._sess._np.concatenate(self._sess._halted, out=out)
-
-
-class _ShmParentSession:
-    """Parent side of the arena exchange: owns the block, reads live views."""
-
-    name = "shm"
-
-    def __init__(self, plan, schema, state_schema, csr, timeout, want_census,
-                 barrier) -> None:
-        import numpy as np
-        from multiprocessing import shared_memory
-
-        if barrier is None:
-            raise SimulationError(
-                "the shared-memory transport requires the pool barrier"
-            )
-        specs, state_bytes, exchange_bytes = _sharded_specs(
-            plan, schema, state_schema, csr
-        )
-        layout, total = _arena_layout(specs)
-        self._np = np
-        self._plan = plan
-        self._csr = csr
-        self._state_schema = state_schema
-        self._timeout = timeout
-        self._barrier = barrier
-        self._layout = layout
-        # Created before the engine marks the pool busy: an allocation
-        # failure here (e.g. ENOSPC on /dev/shm) must leave the pool
-        # reusable, and it propagates as-is (no socket-style fallback below
-        # shared memory exists).
-        self._shm = shared_memory.SharedMemory(create=True, size=total)
-        k = plan.num_shards
-        self._k = k
-        views = _arena_views(self._shm.buf, layout)
-        self._views = views
-        self._ctrl = views["ctrl"]
-        self._mask = [[views[f"mask:{s}:{b}"] for b in (0, 1)] for s in range(k)]
-        self._words = [
-            [views[f"words:{s}:{b}"] for b in (0, 1)] for s in range(k)
-        ]
-        self._halted = (
-            [views[f"state:{s}:halted"] for s in range(k)]
-            if any(v.name == "halted" for v in state_schema)
-            else None
-        )
-        self._arc_lo = [int(x) for x in plan.arc_starts[:-1]]
-        self._bank = 0
-        self._started = False
-        self.state_bytes = [int(b) for b in state_bytes]
-        self.exchange_bytes = [int(b) for b in exchange_bytes]
-        self.arena_bytes = int(total)
-
-    def descriptor(self):
-        return _ShmWorkerFactory(self._shm.name, self._layout)
-
-    def begin(self) -> None:
-        return
-
-    def wait_published(self):
-        if self._started:
-            self._bank ^= 1
-        else:
-            self._started = True
-        self._barrier.wait(self._timeout)
-        return _ShmPublishBatch(self, self._bank)
-
-    def send_verdict(self, stop: bool) -> None:
-        self._ctrl[0] = _CMD_STOP if stop else _CMD_RUN
-        self._barrier.wait(self._timeout)
-
-    def collect_states(self):
-        np = self._np
-        merged: Dict[str, Any] = {}
-        for vec in self._state_schema:
-            full = np.empty(vec.shape(self._csr), dtype=np.dtype(vec.dtype))
-            for s in range(self._k):
-                full[vec.row_slice(self._plan.shard(s))] = self._views[
-                    f"state:{s}:{vec.name}"
-                ]
-            merged[vec.name] = full
-        return merged
-
-    def wire_stats(self):
-        return {
-            "wire_bytes_by_peer": {},
-            "wire_control_bytes": 0,
-            "wire_bytes_total": 0,
-        }
-
-    def abort(self) -> None:
-        try:
-            self._barrier.abort()
-        except Exception:
-            pass
-
-    def close(self) -> None:
-        # Drop our arena views before closing; if an in-flight exception's
-        # traceback still pins one, unlink alone is enough (the mapping dies
-        # with the last reference, the name is gone now).
-        self._views = None
-        self._ctrl = None
-        self._mask = self._words = self._halted = None
-        try:
-            self._shm.close()
-        except BufferError:
-            pass
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double cleanup
-            pass
-
-
-class SharedMemoryTransport(Transport):
-    """The default in-host transport: one shared-memory arena, pool barrier."""
-
-    name = "shm"
-
-    def create_parent(self, plan, schema, state_schema, csr, *, timeout,
-                      want_census, barrier=None):
-        return _ShmParentSession(
-            plan, schema, state_schema, csr, timeout, want_census, barrier
-        )
-
-
-# --------------------------------------------------------------------------- #
-# Socket flavour
-# --------------------------------------------------------------------------- #
-
-class _SocketWorkerFactory:
-    """Picklable worker-side entry point of the socket transport."""
-
-    name = "socket"
-
-    def __init__(self, host, port) -> None:
-        self.host = host
-        self.port = port
-
-    def connect(self, plan, shard_index, kernel, barrier, timeout, want_census):
-        # The pool barrier is deliberately unused: rounds are paced by
-        # control/peer frames so workers hold no shared synchronization
-        # primitive beyond the job pipe.
-        return _SocketWorkerSession(
-            self, plan, shard_index, kernel, timeout, want_census
-        )
-
-
-class _SocketWorkerSession(_WorkerSessionBase):
-    """Worker side of the TCP exchange: control frames + one conn per peer."""
-
-    def __init__(self, factory, plan, shard_index, kernel, timeout,
-                 want_census) -> None:
-        super().__init__(plan, shard_index, kernel, want_census)
-        np = self._np
-        self._timeout = timeout
         self._ctrl = None
         self._listener = None
         self._peer_conns: Dict[int, Any] = {}
-        s = shard_index
-        host = factory.host
+        host, parent_port = endpoint
         # Send-side tables: parallel to each receiver's PeerExchange, so the
         # wire carries mask[src_local] + masked values and no indices.
         self._links = list(plan.peer_links(s))
@@ -642,11 +205,11 @@ class _SocketWorkerSession(_WorkerSessionBase):
             my_port = self._listener.getsockname()[1]
             try:
                 self._ctrl = socket_mod.create_connection(
-                    (host, factory.port), timeout=timeout
+                    (host, parent_port), timeout=timeout
                 )
             except OSError as exc:
                 raise TransportBrokenError(
-                    f"cannot reach the shard parent at {host}:{factory.port}: "
+                    f"cannot reach the shard parent at {host}:{parent_port}: "
                     f"{exc}"
                 ) from None
             self._ctrl.settimeout(timeout)
@@ -734,8 +297,20 @@ class _SocketWorkerSession(_WorkerSessionBase):
 
     def gather(self, prev):
         np = self._np
-        self._gather_interior(prev)
-        for p in self._exchange.peers:
+        hitbuf = self._hitbuf
+        hitbuf[:] = False
+        exchange = self._exchange
+        if prev is not None and exchange.int_src.shape[0]:
+            # The masked scatter runs on the active _accel backend (plain
+            # numpy, or a fused numba loop): collect the receiver-side slots
+            # fed by this shard's own sends and mark them hit.
+            slots, src = _accel_boundary_hits()(
+                prev.mask, exchange.int_src, exchange.int_slots,
+                exchange.int_src, hitbuf,
+            )
+            for f in self._field_names:
+                self._gather_buf[f][slots] = prev.values[f][src]
+        for p in exchange.peers:
             frame = _recv_frame(self._peer_conns[p.peer])
             ln = p.recv_slots.shape[0]
             mask_bytes = (ln + 7) >> 3
@@ -747,7 +322,7 @@ class _SocketWorkerSession(_WorkerSessionBase):
             if count == 0:
                 continue
             slots = p.recv_slots[got]
-            self._hitbuf[slots] = True
+            hitbuf[slots] = True
             offset = mask_bytes
             for f in self._field_names:
                 dt = np.dtype(self._field_dtypes[f])
@@ -755,7 +330,12 @@ class _SocketWorkerSession(_WorkerSessionBase):
                     frame, dtype=dt, count=count, offset=offset
                 )
                 offset += count * dt.itemsize
-        return self._finish_gather()
+        hit = np.flatnonzero(hitbuf)
+        arcs = self._alo + hit
+        inbox = PackedInbox(
+            arcs, {f: self._gather_buf[f][hit] for f in self._field_names}
+        )
+        return inbox, self._csr.indices[arcs]
 
     def finish(self, state) -> None:
         # Ship the declared state rows for the parent-side merge, plus this
@@ -776,26 +356,18 @@ class _SocketWorkerSession(_WorkerSessionBase):
 
     def close(self) -> None:
         for conn in self._peer_conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _close_quietly(conn)
         self._peer_conns = {}
-        if self._ctrl is not None:
-            try:
-                self._ctrl.close()
-            except OSError:
-                pass
-            self._ctrl = None
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
+        _close_quietly(self._ctrl)
+        _close_quietly(self._listener)
+        self._ctrl = self._listener = None
 
 
-class _SocketPublishBatch:
+# --------------------------------------------------------------------------- #
+# Parent side
+# --------------------------------------------------------------------------- #
+
+class _PublishBatch:
     """One published round assembled from the workers' pub frames."""
 
     __slots__ = ("_sess", "_pubs")
@@ -810,8 +382,7 @@ class _SocketPublishBatch:
         for s, (idx, words, _hc, _census) in enumerate(self._pubs):
             if idx.shape[0] == 0:
                 continue
-            # words=None means every message is the schema's fixed size —
-            # exactly what the arena flavour writes into its words bank.
+            # words=None means every message is the schema's fixed size.
             w = (
                 words
                 if words is not None
@@ -836,17 +407,19 @@ class _SocketPublishBatch:
             out[shard.node_lo:shard.node_hi] = bits.astype(bool)
 
 
-class _SocketParentSession:
-    """Parent side of the TCP exchange: the listener and k control conns."""
+class _ParentSession:
+    """Parent side of one sharded run: the listener and k control conns.
 
-    name = "socket"
+    The listener is bound in the constructor, so a bind failure raises
+    :class:`TransportSetupError` before any worker is committed to the run.
+    ``timeout`` bounds every accept and every frame receive.
+    """
 
-    def __init__(self, host, plan, schema, state_schema, csr, timeout,
-                 want_census) -> None:
+    def __init__(self, plan, schema, state_schema, csr, timeout) -> None:
         import numpy as np
 
         self._np = np
-        self._host = host
+        self._host = host = _LOOPBACK
         self._plan = plan
         self._csr = csr
         self._state_schema = state_schema
@@ -867,27 +440,40 @@ class _SocketParentSession:
             ) from None
         self._listener.settimeout(timeout)
         self._port = self._listener.getsockname()[1]
-        # The socket flavour allocates no arena; the per-shard declared
-        # state footprint is still reported so memory assertions hold.
+        #: Per-shard declared-state footprint (the shard-local tiling).
         self.state_bytes = [
             int(state_schema.local_nbytes(plan.shard(s)))
             for s in range(self._k)
         ]
-        self.exchange_bytes = [0] * self._k
-        self.arena_bytes = 0
 
-    def descriptor(self):
-        return _SocketWorkerFactory(self._host, self._port)
+    def endpoint(self):
+        """The listener's ``(host, port)`` the workers connect to."""
+        return self._host, self._port
 
-    def begin(self) -> None:
+    def begin(self, sentinels) -> None:
+        """Accept the k workers' hellos and broadcast the peer ports.
+
+        ``sentinels`` are the worker processes' exit sentinels: a worker
+        that dies before it connects ends the wait at once instead of
+        after the full timeout.
+        """
+        from multiprocessing.connection import wait
+
         ports: Dict[int, int] = {}
+        deadline = time.monotonic() + self._timeout
         for _ in range(self._k):
+            ready = wait(
+                [self._listener, *sentinels],
+                max(0.0, deadline - time.monotonic()),
+            )
+            if self._listener not in ready:
+                raise TransportBrokenError(
+                    "a shard worker exited before connecting"
+                    if ready
+                    else "timed out waiting for shard workers to connect"
+                )
             try:
                 conn, _addr = self._listener.accept()
-            except socket_mod.timeout:
-                raise TransportBrokenError(
-                    "timed out waiting for shard workers to connect"
-                ) from None
             except OSError as exc:
                 raise TransportBrokenError(
                     f"worker accept failed: {exc}"
@@ -908,7 +494,7 @@ class _SocketParentSession:
             self._ctrl_bytes += _LEN.size + len(frame)
             _tag, _s, idx, words, hc, census = pickle.loads(frame)
             self._pub[s] = (idx, words, hc, census)
-        return _SocketPublishBatch(self, list(self._pub))
+        return _PublishBatch(self, list(self._pub))
 
     def send_verdict(self, stop: bool) -> None:
         frame = b"S" if stop else b"R"
@@ -941,41 +527,13 @@ class _SocketParentSession:
             "wire_bytes_total": int(self._ctrl_bytes + peer_total),
         }
 
-    def abort(self) -> None:
-        # Tearing the connections down wakes every worker blocked on a frame
-        # (their recv raises TransportBrokenError and they park or exit).
-        self.close()
-
     def close(self) -> None:
+        """Close every connection (idempotent).
+
+        Tearing the connections down also wakes every worker blocked on a
+        frame: its recv raises :class:`TransportBrokenError` and it exits.
+        """
         for conn in self._conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _close_quietly(conn)
         self._conns = {}
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-
-class SocketTransport(Transport):
-    """Localhost-TCP transport: shard workers hold no shared memory.
-
-    ``host`` is the interface both the parent listener and every worker
-    listener bind to (default loopback).  Construction is cheap; the
-    listener is bound per run in ``create_parent``, and a bind failure
-    raises :class:`TransportSetupError` so the engine can degrade to
-    :class:`SharedMemoryTransport` with a single ``EngineFallbackWarning``.
-    """
-
-    name = "socket"
-
-    def __init__(self, host: str = "127.0.0.1") -> None:
-        self.host = host
-
-    def create_parent(self, plan, schema, state_schema, csr, *, timeout,
-                      want_census, barrier=None):
-        return _SocketParentSession(
-            self.host, plan, schema, state_schema, csr, timeout, want_census
-        )
+        _close_quietly(self._listener)

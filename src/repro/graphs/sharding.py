@@ -161,7 +161,7 @@ class ShardPlan:
         Monotone cut points of the node space: shard ``s`` owns nodes
         ``node_starts[s]..node_starts[s+1]-1``.  Must start at 0, end at
         ``num_nodes`` and be strictly increasing — a zero-range shard would
-        be a worker process with no work and no owned arena segment, so
+        be a worker process with no work and no owned state rows, so
         empty shards are refused.  Build balanced plans with
         :meth:`balanced`.
     """

@@ -77,7 +77,7 @@ SMALL_SWEEP = (
 )
 
 needs_sharded = pytest.mark.skipif(
-    not sharded_available(), reason="numpy/shared-memory unavailable"
+    not sharded_available(), reason="numpy unavailable"
 )
 
 

@@ -353,10 +353,15 @@ class TestVectorizedKernelEquivalence:
         engines = ["fast", "legacy", "vectorized"]
         if sharded_available():
             engines.append("sharded")
+
+        def shard_options(engine):
+            return {"num_shards": 2} if engine == "sharded" else {}
+
         for engine in engines:
             with pytest.raises(BandwidthExceededError):
                 distributed_bellman_ford(
-                    instance, source, engine=engine, words_per_message=2, num_shards=2
+                    instance, source, engine=engine, words_per_message=2,
+                    **shard_options(engine),
                 )
         # With strict accounting off the oversized messages are delivered on
         # every tier and only show up in the statistics.
@@ -381,7 +386,7 @@ class TestVectorizedKernelEquivalence:
                 local_inputs=local_inputs,
                 engine=engine,
                 kernel=kernel,
-                num_shards=2,
+                **shard_options(engine),
             )
         assert lenient["vectorized"].engine == "vectorized"
         if "sharded" in lenient:
@@ -390,20 +395,16 @@ class TestVectorizedKernelEquivalence:
         assert lenient["fast"].max_message_words == 3 > net.words_per_message
 
 
-@pytest.mark.skipif(not sharded_available(), reason="numpy/shared-memory unavailable")
+@pytest.mark.skipif(not sharded_available(), reason="numpy unavailable")
 class TestShardedEquivalence:
     """The multiprocess sharded tier: genuinely runs (``engine ==
     "sharded"``), and for every shard count in ``SHARD_COUNTS`` is
     bit-for-bit identical to the fast/legacy/vectorized tiers — outputs,
     rounds, messages, words, ``max_words_per_edge_round``,
-    ``max_message_words`` and the full round trace.
-
-    Every method takes the session ``shard_transport`` fixture
-    (``--shard-transport shm|socket``), so CI certifies both boundary
-    transports against the same references bit-for-bit."""
+    ``max_message_words`` and the full round trace."""
 
     def test_bellman_ford_shard_count_invariance(
-        self, family_graph, master_seed, shard_transport
+        self, family_graph, master_seed
     ):
         """Every shard count matches the scalar/vectorized tiers bit-for-bit,
         and at every count a *second* run on the same persistent ShardPool
@@ -430,7 +431,7 @@ class TestShardedEquivalence:
                     trace = SimulationTrace()
                     run = distributed_bellman_ford(
                         instance, source, engine="sharded", shard_pool=pool,
-                        trace=trace, transport=shard_transport,
+                        trace=trace,
                     )
                     assert run.simulation.engine == "sharded", (shards, repeat)
                     _assert_identical(ref.simulation, run.simulation)
@@ -440,7 +441,7 @@ class TestShardedEquivalence:
                 assert pool.workers_started == min(shards, len(instance.nodes()))
 
     def test_chunk_flood_shard_count_invariance(
-        self, family_graph, master_seed, shard_transport
+        self, family_graph, master_seed
     ):
         rng = random.Random(master_seed + family_graph.num_edges())
         root = min(family_graph.nodes(), key=str)
@@ -459,7 +460,6 @@ class TestShardedEquivalence:
             trace = SimulationTrace()
             received, run = flood_chunks(
                 net, root, chunks, engine="sharded", num_shards=shards, trace=trace,
-                transport=shard_transport,
             )
             assert run.engine == "sharded", shards
             _assert_identical(ref, run)
@@ -467,7 +467,7 @@ class TestShardedEquivalence:
             assert trace.as_dicts() == ref_trace.as_dicts(), shards
 
     def test_bfs_tree_shard_count_invariance(
-        self, family_graph, master_seed, shard_transport
+        self, family_graph, master_seed
     ):
         net = CongestNetwork(family_graph)
         root = min(family_graph.nodes(), key=str)
@@ -477,7 +477,6 @@ class TestShardedEquivalence:
             trace = SimulationTrace()
             p_run, d_run, run = build_bfs_tree(
                 net, root, engine="sharded", num_shards=shards, trace=trace,
-                transport=shard_transport,
             )
             assert run.engine == "sharded", shards
             _assert_identical(ref, run)
@@ -486,7 +485,7 @@ class TestShardedEquivalence:
             assert trace.as_dicts() == ref_trace.as_dicts(), shards
 
     def test_leader_election_shard_count_invariance(
-        self, family_graph, master_seed, shard_transport
+        self, family_graph, master_seed
     ):
         if not family_graph.is_connected():
             pytest.skip("leader election requires a connected graph")
@@ -497,7 +496,6 @@ class TestShardedEquivalence:
             trace = SimulationTrace()
             leader, run = elect_leader(
                 net, engine="sharded", num_shards=shards, trace=trace,
-                transport=shard_transport,
             )
             assert run.engine == "sharded", shards
             _assert_identical(ref, run)
@@ -505,7 +503,7 @@ class TestShardedEquivalence:
             assert trace.as_dicts() == ref_trace.as_dicts(), shards
 
     def test_convergecast_shard_count_invariance(
-        self, family_graph, master_seed, shard_transport
+        self, family_graph, master_seed
     ):
         rng = random.Random(master_seed + family_graph.num_edges())
         net = CongestNetwork(family_graph)
@@ -520,7 +518,7 @@ class TestShardedEquivalence:
             trace = SimulationTrace()
             total, run = convergecast_sum(
                 net, parent, values, engine="sharded", num_shards=shards,
-                trace=trace, transport=shard_transport,
+                trace=trace,
             )
             assert run.engine == "sharded", shards
             _assert_identical(ref, run)
@@ -528,7 +526,7 @@ class TestShardedEquivalence:
             assert trace.as_dicts() == ref_trace.as_dicts(), shards
 
     def test_label_broadcast_shard_count_invariance(
-        self, family_graph, master_seed, shard_transport
+        self, family_graph, master_seed
     ):
         rng = random.Random(master_seed + family_graph.num_nodes())
         labeling = _pseudo_labeling(family_graph, rng)
@@ -542,7 +540,6 @@ class TestShardedEquivalence:
             trace = SimulationTrace()
             run = measured_label_broadcast(
                 net, labeling, source, engine="sharded", num_shards=shards, trace=trace,
-                transport=shard_transport,
             )
             assert run.engine == "sharded", shards
             _assert_identical(ref, run)

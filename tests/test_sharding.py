@@ -4,10 +4,11 @@ The randomized four-tier equivalence harness lives in
 ``test_engine_equivalence.py``; this file covers the building blocks in
 isolation — :class:`ShardPlan` geometry (contiguous ranges, boundary
 classification, packed exchange tables), the :class:`StateSchema`
-shard-local allocation mode and per-shard arena segments, the persistent
-:class:`ShardPool` (reuse, resize, crash recovery, lifecycle), shared-memory
+shard-local allocation mode and its per-worker shape check, the persistent
+:class:`ShardPool` (reuse, resize, crash recovery, lifecycle), socket
 hygiene under hard worker kills, the single-warning graceful fallback
-ladder (including num_shards clamping), custom shard plans, and worker failure propagation.
+ladder (including num_shards clamping), custom shard plans, and worker
+failure propagation (also before a worker connects).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.graphs.sharding import Shard, ShardPlan
 
 needs_numpy = pytest.mark.skipif(not vectorized_available(), reason="numpy unavailable")
 needs_sharded = pytest.mark.skipif(
-    not sharded_available(), reason="numpy/shared-memory unavailable"
+    not sharded_available(), reason="numpy unavailable"
 )
 
 
@@ -60,6 +61,27 @@ class SuicidalKernel(FloodingKernel):
 
             os.kill(os.getpid(), signal.SIGKILL)
         return super().round(state, inbox, inbox_senders, csr, shard)
+
+
+class WholeGraphStateKernel(FloodingKernel):
+    """Breaks the shard-local contract: ``init`` allocates the declared
+    ``seen`` vector with one row per *graph* node instead of per shard
+    node."""
+
+    def init(self, state, csr, shard):
+        import numpy as np
+
+        sends = super().init(state, csr, shard)
+        state["seen"] = np.zeros(csr.num_nodes, dtype=bool)
+        return sends
+
+
+class UnrebuildableKernel(FloodingKernel):
+    """Pickles in the parent but cannot be rebuilt in a worker, so every
+    worker fails before it connects to the parent."""
+
+    def __setstate__(self, state):
+        raise RuntimeError("kernel cannot be rebuilt in a shard worker")
 
 
 @needs_numpy
@@ -461,16 +483,39 @@ class TestRunSharded:
         instance = generators.to_directed_instance(
             graph, weight_range=(1, 5), orientation="both", seed=master_seed
         )
-        for engine in ("fast", "sharded"):
+        for engine, options in (("fast", {}), ("sharded", {"num_shards": 2})):
             with pytest.raises(ConvergenceError):
                 distributed_bellman_ford(
-                    instance, 0, engine=engine, max_rounds=3, num_shards=2
+                    instance, 0, engine=engine, max_rounds=3, **options
                 )
 
     def test_worker_failure_propagates(self, master_seed):
         network = CongestNetwork(generators.cycle_graph(12))
         with pytest.raises(SimulationError, match="boom in shard worker"):
             run_sharded(network, ExplodingKernel(0, [("c", 1)]), num_shards=2)
+
+    def test_whole_graph_state_rows_rejected(self, master_seed):
+        """Every worker checks that ``kernel.init`` allocated shard-local
+        rows of each declared vector before it publishes anything."""
+        network = CongestNetwork(generators.cycle_graph(12))
+        with pytest.raises(SimulationError, match="state vector 'seen'"):
+            run_sharded(
+                network, WholeGraphStateKernel(0, [("c", 1)]), num_shards=2
+            )
+
+    def test_failure_before_connect_is_reported_promptly(self, master_seed):
+        """A worker that dies before it connects ends the parent's wait at
+        once (not after the frame timeout), with the worker's traceback."""
+        import time
+
+        network = CongestNetwork(generators.cycle_graph(12))
+        t0 = time.monotonic()
+        with pytest.raises(SimulationError, match="cannot be rebuilt"):
+            run_sharded(
+                network, UnrebuildableKernel(0, [("c", 1)]), num_shards=2,
+                barrier_timeout=60.0,
+            )
+        assert time.monotonic() - t0 < 30.0
 
     def test_default_num_shards_bounds(self):
         assert default_num_shards(1) == 1
@@ -479,7 +524,7 @@ class TestRunSharded:
 
 
 @needs_sharded
-class TestShardLocalArena:
+class TestShardLocalState:
     """The memory contract of the refactored tier: declared state is owned by
     shards (per-worker O((n+m)/num_shards)), and only packed boundary words
     are exchanged."""
@@ -497,7 +542,7 @@ class TestShardLocalArena:
         )
 
     def test_declared_state_is_shard_local(self, master_seed):
-        """Per-shard declared-state arena segments tile the whole-graph
+        """Per-shard declared-state allocations tile the whole-graph
         allocation: they sum to the one-shard total and each is a fraction
         of it — the per-worker memory drop the refactor exists for."""
         single = self._run(master_seed, 1).simulation.shard_stats
@@ -524,32 +569,6 @@ class TestShardLocalArena:
             msgs = run.simulation.messages_sent
             assert 0 < stats["boundary_words_published"] < words
             assert 0 < stats["boundary_messages_published"] < msgs
-
-    def test_arena_specs_are_per_shard_segments(self, master_seed):
-        """The arena layout itself holds one state segment per shard with
-        shard-local shapes (not num_shards full-length copies)."""
-        import numpy as np
-
-        from repro.congest.bellman_ford import BellmanFordKernel
-        from repro.congest.engine import _arena_layout, _sharded_specs
-
-        graph = generators.partial_k_tree(30, 3, seed=master_seed)
-        csr = graph.to_indexed().to_arrays()
-        plan = ShardPlan.balanced(csr, 3)
-        kernel = BellmanFordKernel(0, {})
-        schema = kernel.state_schema(csr)
-        specs, state_bytes, exchange_bytes = _sharded_specs(
-            plan, kernel.schema, schema, csr
-        )
-        layout, total = _arena_layout(specs)
-        for shard in plan:
-            s = shard.index
-            assert layout[f"state:{s}:dist"][1] == (shard.num_nodes,)
-            assert layout[f"state:{s}:w_arc"][1] == (shard.num_arcs,)
-            boundary = int(plan.boundary_out(s).shape[0])
-            for bank in (0, 1):
-                assert layout[f"bvalue:{s}:dist:{bank}"][1] == (boundary,)
-        assert sum(state_bytes) == schema.local_nbytes(Shard.full(csr))
 
 
 @needs_sharded
@@ -748,25 +767,33 @@ class TestShardPool:
 
 @needs_sharded
 class TestShardedHygiene:
-    """Shared-memory hygiene: a worker hard-killed mid-run must not leak the
-    arena, and the pool must recover."""
+    """Socket hygiene: a worker hard-killed mid-run must not leave sockets
+    open in the parent, and the pool must recover."""
 
-    def test_killed_worker_cleans_arena_and_pool_recovers(self, master_seed):
+    def test_killed_worker_leaves_no_sockets_and_pool_recovers(
+        self, master_seed
+    ):
         import os
 
         from repro.congest.bellman_ford import distributed_bellman_ford
         from repro.congest.engine import ShardPool
 
-        shm_dir = "/dev/shm"
-        if not os.path.isdir(shm_dir):
-            pytest.skip("no /dev/shm on this platform")
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):
+            pytest.skip("no /proc/self/fd on this platform")
 
-        def _arenas():
-            # Only multiprocessing.shared_memory segments: unrelated
-            # processes may create other /dev/shm entries concurrently.
-            return {n for n in os.listdir(shm_dir) if n.startswith("psm_")}
+        def _sockets():
+            found = set()
+            for fd in os.listdir(fd_dir):
+                try:
+                    target = os.readlink(os.path.join(fd_dir, fd))
+                except OSError:  # closed between listdir and readlink
+                    continue
+                if target.startswith("socket:"):
+                    found.add((fd, target))
+            return found
 
-        before = _arenas()
+        before = _sockets()
 
         network = CongestNetwork(generators.cycle_graph(12))
         with ShardPool(num_shards=2) as pool:
@@ -777,8 +804,10 @@ class TestShardedHygiene:
                     pool=pool,
                     barrier_timeout=5.0,
                 )
-            # The arena was closed and unlinked despite the hard kill.
-            assert _arenas() - before == set()
+            # Listener, control and job-pipe sockets are all closed despite
+            # the hard kill (the pool's job pipes are socket pairs).
+            assert pool.num_workers == 0
+            assert _sockets() - before == set()
             # And the pool restarts cleanly on the next run.
             instance = generators.to_directed_instance(
                 generators.cycle_graph(12), weight_range=(1, 5),
@@ -789,4 +818,4 @@ class TestShardedHygiene:
             )
             ref = distributed_bellman_ford(instance, 0, engine="fast")
             assert result.distances == ref.distances
-        assert _arenas() - before == set()
+        assert _sockets() - before == set()

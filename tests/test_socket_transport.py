@@ -1,26 +1,21 @@
-"""Tests for the pluggable shard-transport layer (``repro.congest.transport``).
+"""Tests for the sharded tier's socket transport (``repro.congest.transport``).
 
-The sharded tier's boundary exchange is pluggable: the default
-:class:`SharedMemoryTransport` (one arena + pool barrier) and the
-:class:`SocketTransport` (localhost TCP, length-prefixed frames, workers hold
-no shared memory) must be bit-for-bit interchangeable.  This file covers:
+Every sharded run moves its boundary exchange over localhost TCP
+(length-prefixed frames; workers hold no shared memory).  This file covers:
 
-* the socket transport against the fast reference and the shm-sharded run at
-  every shard count in ``{1, 2, 4, 7}`` — results, ledger and traces — plus
-  the socket-only ``shard_stats`` fields (``arena_bytes == 0``, per-peer
-  bytes on the wire);
-* transport mixing on one persistent :class:`ShardPool`;
+* the sharded tier against the fast reference at every shard count in
+  ``{1, 2, 4, 7}`` — results, ledger and traces — plus the wire accounting
+  of ``shard_stats`` (per-peer and control-plane bytes);
 * the run-header ingest fix: per-worker header payload bytes shrink as
   ~1/num_shards for Bellman-Ford (``RoundKernel.slice_for_shard``);
-* failure paths — a worker hard-killed mid-round over sockets raises a clean
+* the peer-mesh dial retry;
+* the sharded-only run options: rejected on other engines and checked for
+  range (``num_shards`` an int >= 1, ``barrier_timeout`` > 0);
+* failure paths — a worker hard-killed mid-round raises a clean
   :class:`SimulationError` and the pool recovers; an unbindable listener
-  degrades to shared memory with a single :class:`EngineFallbackWarning`
-  naming both tiers; unknown transport names and ``transport=`` on a
-  non-sharded engine are rejected;
-* ``ConvergenceError`` keeps the pool warm over sockets, same as shm.
-
-The full randomized cross-tier harness additionally re-runs its sharded
-equivalence suite under ``--shard-transport socket`` in CI.
+  falls back to ``vectorized`` with a single
+  :class:`EngineFallbackWarning` naming the bind error;
+* ``ConvergenceError`` keeps the pool warm.
 """
 
 from __future__ import annotations
@@ -37,17 +32,11 @@ from repro.congest.engine import (
     sharded_available,
 )
 from repro.congest.network import CongestNetwork
-from repro.congest.transport import (
-    SharedMemoryTransport,
-    SocketTransport,
-    Transport,
-    resolve_transport,
-)
 from repro.errors import SimulationError
 from repro.graphs import generators
 
 needs_sharded = pytest.mark.skipif(
-    not sharded_available(), reason="numpy/shared-memory unavailable"
+    not sharded_available(), reason="numpy unavailable"
 )
 
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -89,32 +78,31 @@ def _assert_same_run(ref, run):
     assert run.halted == ref.halted
 
 
-class TestTransportResolution:
+class TestRunOptionValidation:
     """Argument plumbing that must work with or without numpy installed."""
 
-    def test_resolve_names_and_instances(self):
-        assert isinstance(resolve_transport(None), SharedMemoryTransport)
-        assert isinstance(resolve_transport("shm"), SharedMemoryTransport)
-        assert isinstance(resolve_transport("shared_memory"), SharedMemoryTransport)
-        assert isinstance(resolve_transport("socket"), SocketTransport)
-        assert isinstance(resolve_transport("tcp"), SocketTransport)
-        custom = SocketTransport(host="127.0.0.1")
-        assert resolve_transport(custom) is custom
-        assert isinstance(custom, Transport)
-        assert SharedMemoryTransport.name == "shm"
-        assert SocketTransport.name == "socket"
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(SimulationError, match="unknown shard transport"):
-            resolve_transport("carrier_pigeon")
-
-    def test_transport_requires_sharded_engine(self):
+    @pytest.mark.parametrize(
+        "engine, options, match",
+        [
+            ("fast", {"num_shards": 3}, "engine='sharded'"),
+            ("vectorized", {"shard_pool": object()}, "engine='sharded'"),
+            ("legacy", {"barrier_timeout": 5.0}, "engine='sharded'"),
+            ("async", {"num_shards": 2}, "engine='sharded'"),
+            ("fast", {"num_shards": 3, "barrier_timeout": -1.0}, "engine='sharded'"),
+            ("sharded", {"num_shards": 0}, "num_shards must be an int >= 1"),
+            ("sharded", {"num_shards": 2.0}, "num_shards must be an int >= 1"),
+            ("sharded", {"num_shards": True}, "num_shards must be an int >= 1"),
+            ("sharded", {"barrier_timeout": 0}, "barrier_timeout must be a number > 0"),
+            ("sharded", {"barrier_timeout": -1.0}, "barrier_timeout must be a number > 0"),
+            ("sharded", {"barrier_timeout": float("nan")}, "barrier_timeout must be"),
+        ],
+    )
+    def test_transport_requires_sharded_engine(self, engine, options, match):
         from repro.congest.node import BroadcastAll
 
         net = CongestNetwork(generators.cycle_graph(6))
-        with pytest.raises(SimulationError, match="engine='sharded'"):
-            net.run(lambda u: BroadcastAll(value=u), engine="fast",
-                    transport="socket")
+        with pytest.raises(SimulationError, match=match):
+            net.run(lambda u: BroadcastAll(value=u), engine=engine, **options)
 
 
 class TestPeerDialRetry:
@@ -195,10 +183,10 @@ class TestPeerDialRetry:
 
 @needs_sharded
 class TestSocketEquivalence:
-    """The socket transport is bit-for-bit the shm transport is bit-for-bit
-    the fast tier, at every shard count — and reports its wire traffic."""
+    """The sharded tier is bit-for-bit the fast tier at every shard count —
+    and reports its wire traffic."""
 
-    def test_bellman_ford_socket_matches_fast_and_shm(self, master_seed):
+    def test_bellman_ford_socket_matches_fast(self, master_seed):
         from repro.congest.bellman_ford import distributed_bellman_ford
 
         instance = _bf_instance(master_seed)
@@ -207,35 +195,20 @@ class TestSocketEquivalence:
         ref = distributed_bellman_ford(instance, source, engine="fast",
                                        trace=ref_trace)
         for shards in SHARD_COUNTS:
-            shm = distributed_bellman_ford(
-                instance, source, engine="sharded", num_shards=shards,
-                transport="shm",
-            )
             trace = SimulationTrace()
             sock = distributed_bellman_ford(
                 instance, source, engine="sharded", num_shards=shards,
-                transport="socket", trace=trace,
+                trace=trace,
             )
             assert sock.simulation.engine == "sharded", shards
             _assert_same_run(ref.simulation, sock.simulation)
-            assert sock.distances == ref.distances == shm.distances, shards
-            assert sock.parents == ref.parents == shm.parents, shards
+            assert sock.distances == ref.distances, shards
+            assert sock.parents == ref.parents, shards
             assert trace.as_dicts() == ref_trace.as_dicts(), shards
 
             stats = sock.simulation.shard_stats
-            shm_stats = shm.simulation.shard_stats
-            assert stats["transport"] == "socket"
-            assert shm_stats["transport"] == "shm"
-            # No arena on the wire flavour; the declared-state footprint is
-            # the same shard-local tiling either way.
-            assert stats["arena_bytes"] == 0
-            assert shm_stats["arena_bytes"] > 0
-            assert stats["declared_state_bytes"] == shm_stats["declared_state_bytes"]
-            # The published-boundary accounting is transport-independent.
-            assert (
-                stats["boundary_words_published"]
-                == shm_stats["boundary_words_published"]
-            )
+            for gone in ("transport", "arena_bytes", "exchange_bytes"):
+                assert gone not in stats
             # Wire accounting: the control plane always moves bytes; peer
             # frames only exist once there are boundaries to cross.
             assert stats["wire_control_bytes"] > 0
@@ -246,33 +219,10 @@ class TestSocketEquivalence:
             )
             if shards == 1:
                 assert peer_bytes == {}
+                assert stats["boundary_words_published"] == 0
             else:
                 assert sum(peer_bytes.values()) > 0
-            assert shm_stats["wire_bytes_total"] == 0
-
-    def test_transports_mix_on_one_pool(self, master_seed):
-        """One persistent pool serves shm and socket runs back to back with
-        the same parked workers — the pool is transport-agnostic."""
-        from repro.congest.bellman_ford import distributed_bellman_ford
-
-        instance = _bf_instance(master_seed, n=30)
-        source = min(instance.nodes(), key=str)
-        ref = distributed_bellman_ford(instance, source, engine="fast")
-        with ShardPool(num_shards=2) as pool:
-            runs = []
-            for transport in ("shm", "socket", "shm", "socket"):
-                run = distributed_bellman_ford(
-                    instance, source, engine="sharded", shard_pool=pool,
-                    transport=transport,
-                )
-                assert run.simulation.shard_stats["transport"] == transport
-                runs.append(run)
-            assert pool.workers_started == 2  # no respawn between transports
-            pids = {tuple(r.simulation.shard_stats["worker_pids"]) for r in runs}
-            assert len(pids) == 1
-            for run in runs:
-                assert run.distances == ref.distances
-                _assert_same_run(ref.simulation, run.simulation)
+                assert stats["boundary_words_published"] > 0
 
 
 @needs_sharded
@@ -286,36 +236,34 @@ class TestRunHeaderIngest:
     # shard index) that does not scale with the graph.
     SLACK = 600
 
-    def _header(self, instance, source, shards, transport):
+    def _header(self, instance, source, shards):
         from repro.congest.bellman_ford import distributed_bellman_ford
 
         run = distributed_bellman_ford(
             instance, source, engine="sharded", num_shards=shards,
-            transport=transport,
         )
         stats = run.simulation.shard_stats
         assert stats["num_shards"] == shards
         return run, stats["run_header_bytes"]
 
-    @pytest.mark.parametrize("transport", ["shm", "socket"])
-    def test_per_shard_header_bytes_shrink(self, master_seed, transport):
+    def test_per_shard_header_bytes_shrink(self, master_seed):
         from repro.congest.bellman_ford import distributed_bellman_ford
 
         instance = _bf_instance(master_seed, n=120)
         source = min(instance.nodes(), key=str)
         ref = distributed_bellman_ford(instance, source, engine="fast")
-        _, single = self._header(instance, source, 1, transport)
+        _, single = self._header(instance, source, 1)
         whole = single["per_shard"][0]
         assert len(single["per_shard"]) == 1
         prev_max = whole + 1
         for shards in (2, 4):
-            run, header = self._header(instance, source, shards, transport)
+            run, header = self._header(instance, source, shards)
             per_shard = header["per_shard"]
             assert len(per_shard) == shards
             # The regression the fix exists for: each worker's suffix is a
             # ~1/num_shards slice of the whole-kernel payload, not a copy.
             assert max(per_shard) <= whole / shards + self.SLACK, (
-                transport, shards, whole, per_shard,
+                shards, whole, per_shard,
             )
             assert max(per_shard) < prev_max
             prev_max = max(per_shard)
@@ -385,7 +333,6 @@ class TestSocketFailurePaths:
                     SocketSuicidalKernel(0, [("c", 1)]),
                     pool=pool,
                     barrier_timeout=5.0,
-                    transport="socket",
                 )
             assert pool.num_workers == 0  # generation discarded
             instance = generators.to_directed_instance(
@@ -394,17 +341,18 @@ class TestSocketFailurePaths:
             )
             result = distributed_bellman_ford(
                 instance, 0, engine="sharded", shard_pool=pool,
-                transport="socket",
             )
             ref = distributed_bellman_ford(instance, 0, engine="fast")
             assert result.distances == ref.distances
             assert result.simulation.words_sent == ref.simulation.words_sent
 
-    def test_unbindable_listener_falls_back_to_shm(self, master_seed):
-        """A listener that cannot bind degrades to the shared-memory
-        transport with exactly one EngineFallbackWarning naming both the
-        requested and the selected flavour; the run still executes sharded
-        and matches the fast tier."""
+    def test_unbindable_listener_falls_back_to_vectorized(
+        self, master_seed, monkeypatch
+    ):
+        """A listener that cannot bind falls back to the vectorized tier
+        with exactly one EngineFallbackWarning naming both tiers and the
+        bind error; no worker is started and the run matches fast."""
+        from repro.congest import transport as transport_mod
         from repro.congest.bellman_ford import distributed_bellman_ford
 
         instance = _bf_instance(master_seed, n=24)
@@ -412,25 +360,26 @@ class TestSocketFailurePaths:
         ref = distributed_bellman_ford(instance, source, engine="fast")
         # TEST-NET-3 (RFC 5737): never assigned to a local interface, so the
         # bind fails with EADDRNOTAVAIL without touching any real network.
-        bad = SocketTransport(host="203.0.113.1")
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            run = distributed_bellman_ford(
-                instance, source, engine="sharded", num_shards=2,
-                transport=bad,
-            )
-        if run.simulation.shard_stats["transport"] == "socket":
-            pytest.skip("host unexpectedly bindable on this platform")
+        monkeypatch.setattr(transport_mod, "_LOOPBACK", "203.0.113.1")
+        with ShardPool(num_shards=2) as pool:
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                run = distributed_bellman_ford(
+                    instance, source, engine="sharded", shard_pool=pool,
+                )
+            if run.simulation.engine == "sharded":
+                pytest.skip("host unexpectedly bindable on this platform")
+            assert pool.workers_started == 0
         fallbacks = [
             w for w in rec if issubclass(w.category, EngineFallbackWarning)
         ]
         assert len(fallbacks) == 1
         message = str(fallbacks[0].message)
-        assert "sharded[socket]" in message
-        assert "sharded[shm]" in message
+        assert "engine='sharded' unavailable" in message
+        assert "engine='vectorized'" in message
         assert "cannot listen" in message
-        assert run.simulation.engine == "sharded"
-        assert run.simulation.shard_stats["transport"] == "shm"
+        assert run.simulation.engine == "vectorized"
+        assert run.simulation.shard_stats is None
         assert run.distances == ref.distances
         _assert_same_run(ref.simulation, run.simulation)
 
@@ -448,14 +397,13 @@ class TestSocketFailurePaths:
             with pytest.raises(ConvergenceError):
                 distributed_bellman_ford(
                     instance, 0, engine="sharded", max_rounds=3,
-                    shard_pool=pool, transport="socket",
+                    shard_pool=pool,
                 )
             assert pool.num_workers == 2  # workers parked, not discarded
             pids = pool.worker_pids()
             ref = distributed_bellman_ford(instance, 0, engine="fast")
             run = distributed_bellman_ford(
                 instance, 0, engine="sharded", shard_pool=pool,
-                transport="socket",
             )
             assert run.distances == ref.distances
             assert pool.worker_pids() == pids
